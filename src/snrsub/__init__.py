@@ -23,12 +23,15 @@ from .harness import (
     McReport,
     exhaustive_subsample_check,
     ks_distance,
+    mc_reports,
+    mise_probe,
     mse_signal_power,
     oracle_draws,
     oracle_quantiles,
     quantile_mae,
 )
 from .simgen import (
+    DESIGNS,
     NoiseSpec,
     SignalSpec,
     calibrate_amplitude,
@@ -45,7 +48,6 @@ from .smoother import (
     autocovariance,
     cv_objective,
     epanechnikov,
-    mise_probe,
     priestley_chao_fit,
     select_bandwidth,
 )

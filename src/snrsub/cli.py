@@ -22,15 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, snr_db
-from .harness import ExperimentSpec, mse_signal_power, quantile_mae
+from .core import TimeSeries
+from .harness import ExperimentSpec, mc_reports
 from .simgen import (
+    DESIGNS,
+    SIGNAL_FREQ_HZ,
+    NoiseSpec,
     SignalSpec,
     calibrate_amplitude,
     derive_rng,
-    gen_ar1,
+    design_noise,
     gen_design,
-    gen_powerlaw,
     gen_sine,
 )
 from .smoother import select_bandwidth
@@ -38,7 +40,6 @@ from .subsample import (
     ExcessiveSkipsError,
     SubsampleConfig,
     confidence_interval,
-    default_b1,
     estimate_snr_distribution,
     select_block_size,
 )
@@ -265,8 +266,8 @@ def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
 
 def cmd_simulate(args) -> int:
     fs = args.fs if args.fs else 44100.0
-    if not 50.0 < fs / 2 and args.design in ("ar", "p1", "p2", "sine-only"):
-        raise CliError("nyquist", f"50 Hz signal violates Nyquist at rate {fs} Hz")
+    if not SIGNAL_FREQ_HZ < fs / 2 and args.design != "noise-only":
+        raise CliError("nyquist", f"{SIGNAL_FREQ_HZ:g} Hz signal violates Nyquist at rate {fs} Hz")
     seed = args.seed
     design = args.design
     noise_var = args.noise_variance
@@ -287,42 +288,25 @@ def cmd_simulate(args) -> int:
         },
     }
     try:
-        if design in ("ar", "p1", "p2"):
+        if design in DESIGNS:
             series = gen_design(design, args.snr, fs, args.duration, seed, noise_var)
             amp = calibrate_amplitude(args.snr, noise_var)
-            noise_desc = {"ar": {"kind": "ar1", "phi": -0.7},
-                          "p1": {"kind": "powerlaw", "beta": 0.2},
-                          "p2": {"kind": "powerlaw", "beta": 0.6}}[design]
-            noise_desc["variance"] = noise_var
             derived = {"amplitude": amp, "signal_power": amp * amp / 2.0,
-                       "noise": noise_desc, "true_snr_db": args.snr}
+                       "noise": design_noise(design, noise_var).describe(),
+                       "true_snr_db": args.snr}
         elif design == "sine-only":
-            spec = SignalSpec(args.amplitude, 50.0, fs, args.duration)
+            spec = SignalSpec(args.amplitude, SIGNAL_FREQ_HZ, fs, args.duration)
             series = gen_sine(spec)
             derived = {"amplitude": args.amplitude,
                        "signal_power": args.amplitude ** 2 / 2.0,
                        "noise": None, "true_snr_db": None}
-        elif design == "noise-only":
+        else:  # noise-only; argparse admits no other design
+            noise = (NoiseSpec.white(noise_var) if args.noise == "white"
+                     else design_noise(args.noise, noise_var))
             n = int(round(args.duration * fs))
-            rng = derive_rng(seed)
-            kind = args.noise
-            if kind == "white":
-                samples = rng.normal(0.0, math.sqrt(noise_var), size=n)
-                noise_desc = {"kind": "white", "variance": noise_var}
-            elif kind == "ar":
-                samples = gen_ar1(-0.7, noise_var, n, rng)
-                noise_desc = {"kind": "ar1", "phi": -0.7, "variance": noise_var}
-            elif kind in ("p1", "p2"):
-                beta = 0.2 if kind == "p1" else 0.6
-                samples = gen_powerlaw(beta, noise_var, n, rng)
-                noise_desc = {"kind": "powerlaw", "beta": beta, "variance": noise_var}
-            else:
-                raise CliError("invalid-config", f"unknown noise kind {kind!r}")
-            series = TimeSeries(samples, fs)
+            series = TimeSeries(noise.sample(n, derive_rng(seed)), fs)
             derived = {"amplitude": 0.0, "signal_power": 0.0,
-                       "noise": noise_desc, "true_snr_db": None}
-        else:
-            raise CliError("invalid-config", f"unknown design {design!r}")
+                       "noise": noise.describe(), "true_snr_db": None}
     except ValueError as e:
         code = "nyquist" if "Nyquist" in str(e) else "invalid-config"
         raise CliError(code, str(e)) from e
@@ -493,11 +477,8 @@ def cmd_mc(args) -> int:
     except ValueError as e:
         raise CliError("invalid-config", str(e)) from e
 
-    reports = {}
-    if args.metric in ("mse", "both"):
-        reports["mse"] = mse_signal_power(spec, workers=threads)
-    if args.metric in ("qmae", "both"):
-        reports["qmae"] = quantile_mae(spec, oracle_replicas=oracle_replicas, workers=threads)
+    metrics = ("mse", "qmae") if args.metric == "both" else (args.metric,)
+    reports = mc_reports(spec, metrics, oracle_replicas=oracle_replicas, workers=threads)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -574,14 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic design data")
     p.add_argument("--design", required=True,
-                   choices=["ar", "p1", "p2", "sine-only", "noise-only"])
+                   choices=[*DESIGNS, "sine-only", "noise-only"])
     p.add_argument("--snr", type=float, default=10.0, help="target SNR in dB")
     p.add_argument("--fs", type=float, default=44100.0)
     p.add_argument("--duration", type=float, required=True, help="seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["raw", "wav16"], default="raw")
     p.add_argument("--amplitude", type=float, default=1.0, help="sine-only amplitude")
-    p.add_argument("--noise", choices=["white", "ar", "p1", "p2"], default="white",
+    p.add_argument("--noise", choices=["white", *DESIGNS], default="white",
                    help="noise-only process")
     p.add_argument("--noise-variance", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output data file")
@@ -619,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select_block)
 
     p = sub.add_parser("mc", help="Monte Carlo experiment tables at desk scale")
-    p.add_argument("--design", required=True, choices=["ar", "p1", "p2"])
+    p.add_argument("--design", required=True, choices=list(DESIGNS))
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--metric", choices=["mse", "qmae", "both"], default="both")
     p.add_argument("--fs", type=float, default=44100.0)

@@ -13,21 +13,20 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import TimeSeries, empirical_quantile
+from .core import DependenceRegime, TimeSeries, empirical_quantile
 from .simgen import (
     SIGNAL_FREQ_HZ,
     calibrate_amplitude,
     derive_rng,
     derive_seed,
-    gen_ar1,
+    design_noise,
     gen_design,
-    gen_powerlaw,
 )
+from .smoother import select_bandwidth
 from .subsample import (
     ExcessiveSkipsError,
     SnrDistribution,
@@ -35,6 +34,7 @@ from .subsample import (
     block_estimate,
     default_b1,
     estimate_snr_distribution,
+    parallel_map,
 )
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "McCell",
     "McReport",
     "mse_signal_power",
+    "mc_reports",
+    "mise_probe",
     "oracle_draws",
     "oracle_quantiles",
     "quantile_mae",
@@ -175,17 +177,22 @@ def _true_block_power(amp: float, starts, b: int, fs_hz: float) -> np.ndarray:
     return out
 
 
-def _mse_replica(args) -> tuple[int, dict[int, dict[str, float] | None]]:
-    """Per block length, the replica's MSE against each of MSE_TARGETS."""
-    spec, r = args
+def _replica(spec: ExperimentSpec, r: int) -> tuple[dict, dict]:
+    """Estimate replica r once per block length b.
+
+    Returns, per b, the signal-power MSE against each of MSE_TARGETS and the
+    quantile at each spec level; both are None where estimation aborts on
+    excessive skips.
+    """
     series = _replica_series(spec, r)
     amp = calibrate_amplitude(spec.true_snr_db, spec.noise_variance)
-    out: dict[int, dict[str, float] | None] = {}
+    mse: dict[int, dict[str, float] | None] = {}
+    quantiles: dict[int, dict[float, float] | None] = {}
     for b in spec.block_lengths:
         try:
             dist = estimate_snr_distribution(series, _replica_config(spec, r, b))
         except ExcessiveSkipsError:
-            out[b] = None
+            mse[b] = quantiles[b] = None
             continue
         kept = [e for e in dist.estimates if not e.skipped]
         power = np.array([e.signal_power for e in kept])
@@ -193,38 +200,20 @@ def _mse_replica(args) -> tuple[int, dict[int, dict[str, float] | None]]:
             "block": _true_block_power(amp, [e.start for e in kept], b, spec.fs_hz),
             "global": amp ** 2 / 2.0,
         }
-        out[b] = {}
-        for name in MSE_TARGETS:
-            errs = power - truth[name]
-            out[b][name] = float(errs @ errs) / errs.size
-    return r, out
+        errs = {name: power - truth[name] for name in MSE_TARGETS}
+        mse[b] = {name: float(e @ e) / e.size for name, e in errs.items()}
+        quantiles[b] = {g: dist.quantile(g) for g in spec.levels}
+    return mse, quantiles
 
 
-def _qmae_replica(args) -> tuple[int, dict[int, dict[float, float] | None]]:
-    spec, r = args
-    series = _replica_series(spec, r)
-    out: dict[int, dict[float, float] | None] = {}
-    for b in spec.block_lengths:
-        try:
-            dist = estimate_snr_distribution(series, _replica_config(spec, r, b))
-        except ExcessiveSkipsError:
-            out[b] = None
-            continue
-        out[b] = {g: dist.quantile(g) for g in spec.levels}
-    return r, out
-
-
-def _run_replicas(fn, spec: ExperimentSpec, workers: int, replica_order) -> dict:
+def _run_replicas(spec: ExperimentSpec, workers: int, replica_order) -> list[tuple]:
+    """``_replica`` for every replica, listed by replica number."""
     order = list(range(spec.replicas)) if replica_order is None else list(replica_order)
     if sorted(order) != list(range(spec.replicas)):
         raise ValueError("replica_order must be a permutation of range(replicas)")
-    args = [(spec, r) for r in order]
-    if workers == 1:
-        results = [fn(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, args))
-    return dict(results)
+    results = parallel_map(_replica, [(spec, r) for r in order], workers)
+    by_r = dict(zip(order, results))
+    return [by_r[r] for r in range(spec.replicas)]
 
 
 def _aggregate(per_replica_values: list[float | None]):
@@ -266,13 +255,15 @@ def mse_signal_power(spec: ExperimentSpec, workers: int = 1, replica_order=None,
     """
     if target not in MSE_TARGETS:
         raise ValueError(f"target must be one of {MSE_TARGETS}, got {target!r}")
+    return _mse_report(spec, _run_replicas(spec, workers, replica_order), target)
+
+
+def _mse_report(spec: ExperimentSpec, by_r: list[tuple], target: str) -> McReport:
     metric = "mse_signal_power" if target == "block" else f"mse_signal_power_{target}"
-    by_r = _run_replicas(_mse_replica, spec, workers, replica_order)
     cells = []
     for b in spec.block_lengths:
-        series_vals = [None if by_r[r][b] is None else by_r[r][b][target]
-                       for r in range(spec.replicas)]
-        mean, se, failures, vals = _aggregate(series_vals)
+        mean, se, failures, vals = _aggregate(
+            [None if mse[b] is None else mse[b][target] for mse, _ in by_r])
         cells.append(McCell(spec.design, spec.true_snr_db, b, metric,
                             None, mean, se, spec.replicas, failures, vals))
     return McReport(spec, tuple(cells))
@@ -287,27 +278,22 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
     Each draw places a block uniformly on the sample index range, computes
     the true signal power over the block and the sample variance of freshly
     generated design noise over the first b1 points, and takes their ratio
-    in dB.
+    in dB.  AR(1) noise is drawn b1 points long after its burn-in; power-law
+    noise, whose synthesis rescales to an exact sample variance, is cut from
+    the start of an ``ORACLE_NOISE_LEN``-point synthesis.
     """
     if b1 is None:
         b1 = default_b1(b)
     amp = calibrate_amplitude(true_snr_db, noise_variance)
+    noise = design_noise(design, noise_variance)
     n = int(round(duration_s * fs_hz))
     if b > n:
         raise ValueError(f"block length {b} exceeds n={n}")
     rng = derive_rng(seed)
     starts = rng.integers(1, n - b + 2, size=replicas)
     u = _true_block_power(amp, starts, b, fs_hz)
-    v = np.empty(replicas)
-    if design == "ar":
-        for r in range(replicas):
-            v[r] = np.var(gen_ar1(-0.7, noise_variance, b1, rng))
-    elif design in ("p1", "p2"):
-        beta = 0.2 if design == "p1" else 0.6
-        for r in range(replicas):
-            v[r] = np.var(gen_powerlaw(beta, noise_variance, ORACLE_NOISE_LEN, rng)[:b1])
-    else:
-        raise ValueError(f"unknown design {design!r}")
+    draw_len = b1 if noise.kind == "ar1" else ORACLE_NOISE_LEN
+    v = np.array([np.var(noise.sample(draw_len, rng)[:b1]) for _ in range(replicas)])
     return 10.0 * np.log10(u / v)
 
 
@@ -329,24 +315,63 @@ def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = 4000,
     One cell per (block length, level); the oracle for each block length is
     computed once on its own derived seed stream.
     """
-    oracle = {
-        b: oracle_quantiles(spec.design, spec.true_snr_db, b, None, spec.levels,
-                            oracle_replicas, derive_seed(spec.seed, _STREAM_ORACLE, b),
-                            spec.fs_hz, spec.duration_s, spec.noise_variance)
-        for b in spec.block_lengths
-    }
-    by_r = _run_replicas(_qmae_replica, spec, workers, replica_order)
+    return _qmae_report(spec, _run_replicas(spec, workers, replica_order), oracle_replicas)
+
+
+def _qmae_report(spec: ExperimentSpec, by_r: list[tuple], oracle_replicas: int) -> McReport:
     cells = []
     for b in spec.block_lengths:
+        oracle = oracle_quantiles(spec.design, spec.true_snr_db, b, None, spec.levels,
+                                  oracle_replicas, derive_seed(spec.seed, _STREAM_ORACLE, b),
+                                  spec.fs_hz, spec.duration_s, spec.noise_variance)
         for g in spec.levels:
-            per_rep = [
-                None if by_r[r][b] is None else abs(by_r[r][b][g] - oracle[b][g])
-                for r in range(spec.replicas)
-            ]
-            mean, se, failures, vals = _aggregate(per_rep)
+            mean, se, failures, vals = _aggregate(
+                [None if q[b] is None else abs(q[b][g] - oracle[g]) for _, q in by_r])
             cells.append(McCell(spec.design, spec.true_snr_db, b, "quantile_mae",
                                 g, mean, se, spec.replicas, failures, vals))
     return McReport(spec, tuple(cells))
+
+
+def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
+               workers: int = 1) -> dict[str, McReport]:
+    """The 'mse' and/or 'qmae' reports from a single pass over the replicas.
+
+    Each replica is estimated once per block length; every report equals the
+    one ``mse_signal_power`` or ``quantile_mae`` gives alone.
+    """
+    if not set(metrics) <= {"mse", "qmae"}:
+        raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
+    by_r = _run_replicas(spec, workers, None)
+    build = {"mse": lambda: _mse_report(spec, by_r, "block"),
+             "qmae": lambda: _qmae_report(spec, by_r, oracle_replicas)}
+    return {m: build[m]() for m in metrics}
+
+
+def mise_probe(s_true, noise, n_list, replicas: int, seed: int = 0,
+               regime: DependenceRegime | None = None) -> dict[int, float]:
+    """Empirical mean integrated squared error of the fit per sample size.
+
+    For each n, generates ``replicas`` series s_true(i/n) + noise, fits with
+    the CV-selected bandwidth, and averages the squared error over the
+    interior points h < i/n < 1 - h.  Useful to check the error decay rate
+    against the n**(-4/5)-type theory without touching any asymptotics.
+    """
+    if replicas < 10:
+        raise ValueError(f"need at least 10 replicas, got {replicas}")
+    out = {}
+    for n in n_list:
+        grid_t = np.arange(1, n + 1) / n
+        s = np.asarray([s_true(t) for t in grid_t], dtype=np.float64)
+        acc = 0.0
+        for r in range(replicas):
+            rng = derive_rng(seed, n, r)
+            yrep = s + noise.sample(n, rng)
+            fit = select_bandwidth(yrep, regime=regime)
+            interior = (grid_t > fit.h_hat) & (grid_t < 1.0 - fit.h_hat)
+            err = fit.fitted[interior] - s[interior]
+            acc += float(err @ err) / max(int(interior.sum()), 1)
+        out[int(n)] = acc / replicas
+    return out
 
 
 def ks_distance(a, b) -> float:

@@ -8,10 +8,9 @@ independent and insensitive to evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import TimeSeries
 
@@ -25,10 +24,12 @@ __all__ = [
     "gen_ar1",
     "gen_powerlaw",
     "gen_design",
+    "DESIGNS",
+    "design_noise",
 ]
 
 AR1_BURN_IN = 1000
-DESIGN_NOISE = {"ar": ("ar1", -0.7), "p1": ("powerlaw", 0.2), "p2": ("powerlaw", 0.6)}
+AR1_LOOP_MAX = 1 << 18  # longest AR(1) input filtered in Python rather than by lfilter
 SIGNAL_FREQ_HZ = 50.0
 
 
@@ -123,6 +124,32 @@ class NoiseSpec:
             return gen_ar1(self.phi, self.variance, n, rng)
         return gen_powerlaw(self.beta, self.variance, n, rng)
 
+    def describe(self) -> dict:
+        """Kind, variance and the kind's own parameter, as a manifest records them."""
+        out = {"kind": self.kind, "variance": self.variance}
+        if self.kind == "ar1":
+            out["phi"] = self.phi
+        elif self.kind == "powerlaw":
+            out["beta"] = self.beta
+        return out
+
+
+# The noise of each synthetic design at unit variance: 'ar' is AR(1) with
+# phi = -0.7 (short-range dependence); 'p1' and 'p2' are 1/f**beta noise with
+# beta = 0.2 and 0.6 (moderate and strong long-range dependence).
+DESIGNS = {
+    "ar": NoiseSpec.ar1(-0.7, 1.0),
+    "p1": NoiseSpec.powerlaw(0.2, 1.0),
+    "p2": NoiseSpec.powerlaw(0.6, 1.0),
+}
+
+
+def design_noise(design: str, variance: float) -> NoiseSpec:
+    """The noise process of ``design`` at the given stationary variance."""
+    if design not in DESIGNS:
+        raise ValueError(f"unknown design {design!r}; expected one of {sorted(DESIGNS)}")
+    return replace(DESIGNS[design], variance=variance)
+
 
 def calibrate_amplitude(target_snr_db: float, noise_variance: float) -> float:
     """Sine amplitude whose power A**2/2 hits the target SNR over the noise."""
@@ -151,8 +178,12 @@ def gen_ar1(phi: float, target_variance: float, n: int, seed) -> np.ndarray:
     rng = _as_rng(seed)
     sd = math.sqrt(target_variance * (1.0 - phi * phi))
     u = rng.normal(0.0, sd, size=n + AR1_BURN_IN)
-    x = lfilter([1.0], [1.0, -phi], u)
-    return x[AR1_BURN_IN:]
+    if u.size > AR1_LOOP_MAX:
+        from scipy.signal import lfilter  # about 1 s to import, so long inputs only
+        return lfilter([1.0], [1.0, -phi], u)[AR1_BURN_IN:]
+    # x_t = u_t + phi * x_{t-1} with lfilter's two roundings per step: bit-identical to it
+    y = 0.0
+    return np.array([(y := v + phi * y) for v in u.tolist()])[AR1_BURN_IN:]
 
 
 def gen_powerlaw(beta: float, target_variance: float, n: int, seed) -> np.ndarray:
@@ -185,21 +216,14 @@ def gen_powerlaw(beta: float, target_variance: float, n: int, seed) -> np.ndarra
 
 def gen_design(design: str, target_snr_db: float, fs_hz: float, duration_s: float,
                seed, noise_variance: float = 1.0) -> TimeSeries:
-    """Sine at 50 Hz plus design noise, calibrated to the exact target SNR.
+    """Sine at 50 Hz plus the noise of ``design`` (a key of ``DESIGNS``),
+    calibrated to the exact target SNR.
 
-    Designs: 'ar' is AR(1) with phi = -0.7 (short-range dependence); 'p1' and
-    'p2' are 1/f**beta noise with beta = 0.2 and 0.6 (moderate and strong
-    long-range dependence).  The sine amplitude is tuned against the noise
-    target variance, so the true SNR is a constant of the construction.
+    The sine amplitude is tuned against the noise target variance, so the
+    true SNR is a constant of the construction.
     """
-    if design not in DESIGN_NOISE:
-        raise ValueError(f"unknown design {design!r}; expected one of {sorted(DESIGN_NOISE)}")
     amp = calibrate_amplitude(target_snr_db, noise_variance)
+    noise = design_noise(design, noise_variance)
     spec = SignalSpec(amp, SIGNAL_FREQ_HZ, fs_hz, duration_s)
-    rng = _as_rng(seed)
-    kind, param = DESIGN_NOISE[design]
-    if kind == "ar1":
-        noise = gen_ar1(param, noise_variance, spec.n, rng)
-    else:
-        noise = gen_powerlaw(param, noise_variance, spec.n, rng)
-    return TimeSeries(gen_sine(spec).samples + noise, fs_hz)
+    samples = noise.sample(spec.n, seed)
+    return TimeSeries(gen_sine(spec).samples + samples, fs_hz)

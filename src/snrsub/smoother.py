@@ -28,7 +28,6 @@ __all__ = [
     "autocovariance",
     "cv_objective",
     "select_bandwidth",
-    "mise_probe",
 ]
 
 # below this the squared-reciprocal correction factor explodes and the
@@ -112,13 +111,13 @@ def _stencil(n: int, h: float):
     return w, den, radius
 
 
-def priestley_chao_fit(y, h: float, t=None) -> np.ndarray:
+def priestley_chao_fit(y, h: float) -> np.ndarray:
     """Weight-normalized kernel regression of samples on the grid i/n.
 
     Evaluates sum_i K((t - i/n)/h) * y_i / sum_i K((t - i/n)/h) at every
-    sample position (or at the points ``t`` if given).  Only samples within
-    distance h of the evaluation point contribute; summation is a direct
-    sliding window, so the boundary normalization is exact.
+    sample position t = j/n.  Only samples within distance h of the
+    evaluation point contribute; summation is a direct sliding window, so
+    the boundary normalization is exact.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
@@ -126,20 +125,9 @@ def priestley_chao_fit(y, h: float, t=None) -> np.ndarray:
         raise ValueError(f"need at least 3 samples, got {n}")
     if not (0.0 < h <= 0.5):
         raise ValueError(f"bandwidth must lie in (0, 0.5], got {h}")
-    if t is None:
-        w, den, radius = _stencil(n, float(h))
-        num = np.convolve(y, w, mode="full")[radius:radius + n]
-        return num / den
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    grid = np.arange(1, n + 1) / n
-    out = np.empty(t.size)
-    for k, tk in enumerate(t):
-        wk = epanechnikov((tk - grid) / h)
-        den = wk.sum()
-        if den <= 0.0:
-            raise ValueError(f"no samples within bandwidth of t={tk}")
-        out[k] = (wk @ y) / den
-    return out
+    w, den, radius = _stencil(n, float(h))
+    num = np.convolve(y, w, mode="full")[radius:radius + n]
+    return num / den
 
 
 def autocovariance(residuals, j: int) -> float:
@@ -240,31 +228,3 @@ def select_bandwidth(
         m_lags=M,
     )
 
-
-def mise_probe(s_true, noise, n_list, replicas: int, seed: int = 0,
-               regime: DependenceRegime | None = None) -> dict[int, float]:
-    """Empirical mean integrated squared error of the fit per sample size.
-
-    For each n, generates ``replicas`` series s_true(i/n) + noise, fits with
-    the CV-selected bandwidth, and averages the squared error over the
-    interior points h < i/n < 1 - h.  Useful to check the error decay rate
-    against the n**(-4/5)-type theory without touching any asymptotics.
-    """
-    from . import simgen
-
-    if replicas < 10:
-        raise ValueError(f"need at least 10 replicas, got {replicas}")
-    out = {}
-    for n in n_list:
-        grid_t = np.arange(1, n + 1) / n
-        s = np.asarray([s_true(t) for t in grid_t], dtype=np.float64)
-        acc = 0.0
-        for r in range(replicas):
-            rng = simgen.derive_rng(seed, n, r)
-            yrep = s + noise.sample(n, rng)
-            fit = select_bandwidth(yrep, regime=regime)
-            interior = (grid_t > fit.h_hat) & (grid_t < 1.0 - fit.h_hat)
-            err = fit.fitted[interior] - s[interior]
-            acc += float(err @ err) / max(int(interior.sum()), 1)
-        out[int(n)] = acc / replicas
-    return out

@@ -167,9 +167,17 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
     return u, v, snr, h, False
 
 
-def _worker(payload):
-    block, b1, grid, shared_h = payload
-    return _block_values(block, b1, grid, shared_h)
+def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
+    """[fn(*args) for args in arg_tuples], over ``workers`` processes if > 1.
+
+    Results come back in input order, so they never depend on the worker
+    count; ``fn`` and its arguments must be picklable.
+    """
+    if workers == 1:
+        return [fn(*args) for args in arg_tuples]
+    chunk = max(1, len(arg_tuples) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*arg_tuples), chunksize=chunk))
 
 
 def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> SubsampleEstimate:
@@ -204,13 +212,8 @@ def estimate_snr_distribution(series: TimeSeries, cfg: SubsampleConfig) -> SnrDi
     if cfg.shared_bandwidth:
         shared_h = select_bandwidth(blocks[0], grid=cfg.grid).h_hat
 
-    payloads = [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks]
-    if cfg.workers == 1:
-        values = [_worker(p) for p in payloads]
-    else:
-        chunk = max(1, len(payloads) // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            values = list(pool.map(_worker, payloads, chunksize=chunk))
+    values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
+                          cfg.workers)
 
     estimates = tuple(
         SubsampleEstimate(int(t), u, v, snr, h, skipped)

@@ -19,6 +19,7 @@ from snrsub.core import TimeSeries
 from snrsub.harness import (
     ExperimentSpec,
     exhaustive_subsample_check,
+    mise_probe,
     mse_signal_power,
     oracle_quantiles,
     replica_distribution,
@@ -28,7 +29,6 @@ from snrsub.smoother import (
     BandwidthGrid,
     cv_objective,
     epanechnikov,
-    mise_probe,
     priestley_chao_fit,
     select_bandwidth,
 )

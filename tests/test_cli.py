@@ -167,6 +167,37 @@ class TestSimulate:
         assert manifest["derived"]["noise"]["beta"] == 0.6
         assert manifest["derived"]["true_snr_db"] is None
 
+    @pytest.mark.parametrize("design,noise", [
+        ("ar", {"kind": "ar1", "phi": -0.7, "variance": 1.5}),
+        ("p1", {"kind": "powerlaw", "beta": 0.2, "variance": 1.5}),
+        ("p2", {"kind": "powerlaw", "beta": 0.6, "variance": 1.5}),
+    ])
+    def test_manifest_noise_of_each_design(self, tmp_path, capsys, design, noise):
+        for argv in (["--design", design], ["--design", "noise-only", "--noise", design]):
+            code, stdout, _ = run_cli(
+                capsys, "simulate", *argv, "--noise-variance", "1.5", "--duration", "0.05",
+                "--out", str(tmp_path / "x.raw"),
+            )
+            assert code == 0
+            assert json.loads(stdout)["derived"]["noise"] == noise
+
+    def test_manifest_noise_white(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "simulate", "--design", "noise-only", "--duration", "0.05",
+            "--out", str(tmp_path / "x.raw"),
+        )
+        assert code == 0
+        assert json.loads(stdout)["derived"]["noise"] == {"kind": "white", "variance": 1.0}
+
+    @pytest.mark.parametrize("noise", ["p1", "p2"])
+    def test_zero_variance_powerlaw_noise_is_invalid(self, tmp_path, capsys, noise):
+        code, _, err = run_cli(
+            capsys, "simulate", "--design", "noise-only", "--noise", noise,
+            "--noise-variance", "0", "--duration", "0.05", "--out", str(tmp_path / "x.raw"),
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["code"] == "invalid-config"
+
     def test_nyquist_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--design", "ar", "--fs", "80", "--duration", "1",
@@ -344,6 +375,22 @@ class TestMc:
         body = open(csv_path).read().splitlines()
         assert body[0].startswith("design,")
         assert len(body) == 1 + len(mse_cells) + len(qmae_cells)
+
+    @pytest.mark.parametrize("design", ["ar", "p2"])
+    def test_both_equals_the_single_metric_reports(self, tmp_path, capsys, design):
+        reports, csv = {}, {}
+        for metric in ("both", "mse", "qmae"):
+            path = str(tmp_path / f"{metric}.csv")
+            code, stdout, _ = run_cli(
+                capsys, "mc", "--design", design, "--snr", "6", "--metric", metric,
+                "--replicas", "2", "--duration", "0.25", "--k", "24", "--b-ms", "10,15",
+                "--oracle-replicas", "200", "--seed", "2", "--csv", path,
+            )
+            assert code == 0
+            reports[metric] = json.loads(stdout)["reports"]
+            csv[metric] = open(path).read().splitlines()
+        assert reports["both"] == {"mse": reports["mse"]["mse"], "qmae": reports["qmae"]["qmae"]}
+        assert csv["both"] == csv["mse"] + csv["qmae"][1:]
 
     def test_single_replica_se_absent(self, capsys):
         code, stdout, _ = run_cli(

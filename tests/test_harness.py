@@ -9,6 +9,7 @@ from snrsub.harness import (
     ExperimentSpec,
     exhaustive_subsample_check,
     ks_distance,
+    mc_reports,
     mse_signal_power,
     oracle_draws,
     oracle_quantiles,
@@ -166,6 +167,33 @@ class TestQuantileMae:
         a = quantile_mae(tiny_spec(replicas=2), oracle_replicas=300)
         b = quantile_mae(tiny_spec(replicas=2), oracle_replicas=300)
         assert [c.mean for c in a.cells] == [c.mean for c in b.cells]
+
+
+class TestMcReports:
+    def test_single_pass_equals_the_one_metric_reports(self):
+        spec = tiny_spec(design="p2", replicas=2, block_lengths=(441, 662))
+        both = mc_reports(spec, ("mse", "qmae"), oracle_replicas=300)
+        assert both["mse"].to_json() == mse_signal_power(spec).to_json()
+        assert both["qmae"].to_json() == quantile_mae(spec, oracle_replicas=300).to_json()
+
+    def test_each_replica_estimated_once_per_block_length(self, monkeypatch):
+        import snrsub.harness as harness
+
+        calls = []
+        real = harness.estimate_snr_distribution
+
+        def counting(series, cfg):
+            calls.append(cfg.b)
+            return real(series, cfg)
+
+        monkeypatch.setattr(harness, "estimate_snr_distribution", counting)
+        spec = tiny_spec(replicas=3, block_lengths=(441, 662))
+        mc_reports(spec, ("mse", "qmae"), oracle_replicas=100)
+        assert len(calls) == spec.replicas * len(spec.block_lengths)
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError):
+            mc_reports(tiny_spec(replicas=1), ("mse", "rmse"))
 
 
 class TestExhaustive:

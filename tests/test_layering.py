@@ -1,0 +1,49 @@
+"""Package structure: module layering and import cost."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import snrsub
+
+LAYERS = ("core", "smoother", "simgen", "subsample", "harness", "cli")
+SRC = Path(snrsub.__file__).parent
+
+
+def imported_modules(path: Path) -> set[str]:
+    """snrsub modules a source file imports, at any depth (function-local too)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                if node.module and node.module.startswith("snrsub."):
+                    found.add(node.module.split(".")[1])
+            elif node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("snrsub."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_every_module_is_layered():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_only_earlier_layers(module):
+    earlier = set(LAYERS[:LAYERS.index(module)])
+    assert imported_modules(SRC / f"{module}.py") <= earlier
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, snrsub.cli; sys.exit('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr or "scipy.signal was imported"

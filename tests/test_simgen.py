@@ -5,11 +5,15 @@ import pytest
 
 from snrsub.core import signal_power, snr_db
 from snrsub.simgen import (
+    AR1_BURN_IN,
+    DESIGNS,
+    SIGNAL_FREQ_HZ,
     NoiseSpec,
     SignalSpec,
     calibrate_amplitude,
     derive_rng,
     derive_seed,
+    design_noise,
     gen_ar1,
     gen_design,
     gen_powerlaw,
@@ -93,6 +97,14 @@ class TestGenAr1:
         b = gen_ar1(-0.7, 2.0, 500, 99)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("phi,n", [(-0.7, 64), (0.5, 1011), (-0.999, 5000), (0.0, 16)])
+    def test_python_recursion_is_bit_identical_to_lfilter(self, phi, n):
+        from scipy.signal import lfilter
+
+        u = derive_rng(4).normal(0.0, math.sqrt(2.0 * (1.0 - phi * phi)), size=n + AR1_BURN_IN)
+        want = lfilter([1.0], [1.0, -phi], u)[AR1_BURN_IN:]
+        assert gen_ar1(phi, 2.0, n, derive_rng(4)).tobytes() == want.tobytes()
+
     def test_invalid_phi(self):
         with pytest.raises(ValueError):
             gen_ar1(1.0, 1.0, 10, 0)
@@ -172,6 +184,22 @@ class TestGenDesign:
     def test_unknown_design(self):
         with pytest.raises(ValueError):
             gen_design("arma", 10.0, 44100.0, 0.1, seed=0)
+        with pytest.raises(ValueError):
+            design_noise("arma", 1.0)
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_noise_is_the_registry_process(self, design):
+        ts = gen_design(design, 6.0, 44100.0, 0.1, seed=derive_rng(8))
+        sine = gen_sine(SignalSpec(calibrate_amplitude(6.0, 1.0), SIGNAL_FREQ_HZ, 44100.0, 0.1))
+        noise = DESIGNS[design].sample(ts.n, derive_rng(8))
+        np.testing.assert_array_equal(ts.samples, sine.samples + noise)
+        assert design_noise(design, 2.5) == NoiseSpec(
+            DESIGNS[design].kind, 2.5, DESIGNS[design].phi, DESIGNS[design].beta)
+
+    def test_registry_holds_the_paper_designs(self):
+        assert DESIGNS == {"ar": NoiseSpec.ar1(-0.7, 1.0),
+                           "p1": NoiseSpec.powerlaw(0.2, 1.0),
+                           "p2": NoiseSpec.powerlaw(0.6, 1.0)}
 
     def test_nyquist(self):
         with pytest.raises(ValueError):

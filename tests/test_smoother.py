@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from snrsub.core import lrd
+from snrsub.harness import mise_probe
 from snrsub.simgen import NoiseSpec, gen_ar1
 from snrsub.smoother import (
     BandwidthGrid,
     autocovariance,
     cv_objective,
     epanechnikov,
-    mise_probe,
     priestley_chao_fit,
     select_bandwidth,
 )
@@ -48,11 +48,11 @@ class TestPriestleyChaoFit:
 
     def test_small_grid_against_bruteforce(self):
         y = [0.0, 1.0, 0.0, 1.0, 0.0]
-        got = priestley_chao_fit(y, 0.25, t=[3.0 / 5.0])
+        got = priestley_chao_fit(y, 0.25)[2]  # grid point 3/5
         want = pc_fit_bruteforce(y, 0.25, [3.0 / 5.0])
-        assert got[0] == pytest.approx(want[0], rel=1e-14)
+        assert got == pytest.approx(want[0], rel=1e-14)
         # direct hand evaluation: weights 0.27, 0.75, 0.27 on y2..y4
-        assert got[0] == pytest.approx(0.54 / 1.29, rel=1e-12)
+        assert got == pytest.approx(0.54 / 1.29, rel=1e-12)
 
     def test_grid_eval_matches_bruteforce(self, rng):
         y = rng.normal(size=64)
@@ -63,20 +63,6 @@ class TestPriestleyChaoFit:
                 pc_fit_bruteforce(y, h, grid),
                 rtol=1e-12,
             )
-
-    def test_off_grid_matches_bruteforce(self, rng):
-        y = rng.normal(size=50)
-        pts = [0.137, 0.5, 0.912]
-        np.testing.assert_allclose(
-            priestley_chao_fit(y, 0.2, t=pts),
-            pc_fit_bruteforce(y, 0.2, pts),
-            rtol=1e-12,
-        )
-
-    def test_off_grid_outside_support_raises(self):
-        y = np.ones(50)
-        with pytest.raises(ValueError):
-            priestley_chao_fit(y, 0.01, t=[-0.5])
 
     def test_bandwidth_bounds(self):
         y = np.ones(32)
