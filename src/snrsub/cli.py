@@ -160,6 +160,9 @@ def _read_csv(desc: InputDescriptor) -> TimeSeries:
 def _read_raw(desc: InputDescriptor) -> TimeSeries:
     if not desc.sample_rate_hz:
         raise ValueError("raw input requires an explicit sample rate (--fs)")
+    size = os.path.getsize(desc.path)
+    if size % 8:
+        raise ValueError(f"raw: {size} bytes in {desc.path} is not a whole number of float64 samples")
     samples = np.fromfile(desc.path, dtype="<f8")
     if samples.size == 0:
         raise ValueError(f"raw: zero samples in {desc.path}")
@@ -219,14 +222,18 @@ def _parse_levels(text: str, name: str) -> tuple[float, ...]:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get(THREADS_ENV)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), THREADS_ENV
         except ValueError:
             raise CliError("invalid-config", f"{THREADS_ENV}={env!r} is not an integer") from None
-    return 1
+    if threads < 1:
+        raise CliError("invalid-config", f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _resolve_block_samples(args, fs_hz: float) -> int:

@@ -341,6 +341,8 @@ def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
     """
     if not set(metrics) <= {"mse", "qmae"}:
         raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
+    if "qmae" in metrics and oracle_replicas < 1:
+        raise ValueError(f"oracle_replicas must be >= 1, got {oracle_replicas}")
     by_r = _run_replicas(spec, workers, None)
     build = {"mse": lambda: _mse_report(spec, by_r, "block"),
              "qmae": lambda: _qmae_report(spec, by_r, oracle_replicas)}

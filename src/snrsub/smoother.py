@@ -140,17 +140,15 @@ def autocovariance(residuals, j: int) -> float:
 
 
 def _correction_factor(e: np.ndarray, n: int, h: float, M: int) -> float:
-    """1 - (1/(nh)) * sum_{|j|<=M} K(j/(nh)) * rho_hat(j) from residuals e."""
-    g0 = float(e @ e) / n
-    nh = n * h
-    acc = epanechnikov(0.0)  # j = 0 term, rho_hat(0) = 1
-    for j in range(1, M + 1):
-        kj = epanechnikov(j / nh)
-        if kj == 0.0:
-            break
-        rho = (float(e[:n - j] @ e[j:]) / n) / g0
-        acc += 2.0 * kj * rho
-    return 1.0 - acc / nh
+    """1 - (1/(nh)) * sum_{|j|<=M} K(j/(nh)) * rho_hat(j) from residuals e.
+
+    K vanishes past the stencil radius floor(nh), so lags stop at min(M, radius).
+    """
+    w, _, radius = _stencil(n, float(h))
+    m = min(M, radius)
+    g = np.correlate(np.concatenate([e, np.zeros(m)]), e, "valid")  # g[j] = sum_t e_t e_{t+j}
+    acc = w[radius] + 2.0 * (w[radius + 1:radius + 1 + m] @ (g[1:] / g[0]))
+    return 1.0 - float(acc) / (n * h)
 
 
 def _cv_eval(y: np.ndarray, h: float, M: int):

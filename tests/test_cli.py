@@ -259,6 +259,20 @@ class TestEstimate:
         assert code == 0
         assert base == with_env
 
+    @pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, flag, env):
+        path, _ = simulate_ar(tmp_path, capsys)
+        args = ["estimate", "--input", path, "--fs", "44100", "--block-ms", "10", "--k", "16"]
+        if flag is not None:
+            args += ["--threads", flag]
+        else:
+            monkeypatch.setenv("SNRSUB_THREADS", env)
+        code, stdout, err = run_cli(capsys, *args)
+        assert code == 1 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-config"
+        assert "must be at least 1" in error["message"]
+
     def test_timings_flag_adds_section(self, tmp_path, capsys):
         path, _ = simulate_ar(tmp_path, capsys)
         code, stdout, _ = run_cli(
@@ -307,6 +321,19 @@ class TestEstimate:
         )
         assert code == 1
         assert json.loads(err)["error"]["code"] == "excessive-skips"
+
+    def test_truncated_raw_is_bad_input(self, tmp_path, capsys, rng):
+        path = make_raw(tmp_path, rng.normal(size=22050))
+        with open(path, "r+b") as f:
+            f.truncate(22050 * 8 - 3)
+        code, stdout, err = run_cli(
+            capsys, "estimate", "--input", path, "--fs", "44100",
+            "--block-ms", "10", "--k", "16",
+        )
+        assert code == 1 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-input"
+        assert "176397 bytes" in error["message"]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
@@ -391,6 +418,30 @@ class TestMc:
             csv[metric] = open(path).read().splitlines()
         assert reports["both"] == {"mse": reports["mse"]["mse"], "qmae": reports["qmae"]["qmae"]}
         assert csv["both"] == csv["mse"] + csv["qmae"][1:]
+
+    @pytest.mark.parametrize("metric", ["qmae", "both"])
+    def test_zero_oracle_draws_fail_before_the_replicas(self, capsys, monkeypatch, metric):
+        def no_replicas(*args):
+            raise AssertionError("replica pass started")
+        monkeypatch.setattr("snrsub.harness._run_replicas", no_replicas)
+        code, stdout, err = run_cli(
+            capsys, "mc", "--design", "ar", "--snr", "6", "--metric", metric,
+            "--replicas", "1", "--duration", "0.2", "--k", "24", "--b-ms", "10",
+            "--oracle-replicas", "0",
+        )
+        assert code == 1 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-config"
+        assert error["message"] == "oracle_replicas must be >= 1, got 0"
+
+    def test_zero_oracle_draws_ignored_for_mse(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "mc", "--design", "ar", "--snr", "6", "--metric", "mse",
+            "--replicas", "1", "--duration", "0.2", "--k", "24", "--b-ms", "10",
+            "--oracle-replicas", "0",
+        )
+        assert code == 0
+        assert list(json.loads(stdout)["reports"]) == ["mse"]
 
     def test_single_replica_se_absent(self, capsys):
         code, stdout, _ = run_cli(

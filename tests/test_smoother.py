@@ -136,13 +136,13 @@ class TestCvObjective:
     def test_matches_bruteforce(self, rng):
         n = 64
         y = np.sin(2 * np.pi * np.arange(1, n + 1) / n) + gen_ar1(0.5, 0.09, n, rng)
-        grid = BandwidthGrid(points=10).values(n)
-        for h in grid:
-            if int(n * h) < 1:
-                continue
-            m = max(1, int(math.sqrt(n * h)))
-            got = cv_objective(y, float(h), m)
-            want = cv_bruteforce(y, float(h), m)
+        cases = [(float(h), max(1, int(math.sqrt(n * h))))
+                 for h in BandwidthGrid(points=10).values(n) if int(n * h) >= 1]
+        # lag cutoffs past the kernel radius floor(n*h) = 12, up to n//4
+        cases += [(0.2, 13), (0.2, 16)]
+        for h, m in cases:
+            got = cv_objective(y, h, m)
+            want = cv_bruteforce(y, h, m)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_lag_cutoff_validated(self):
