@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import DependenceRegime, TimeSeries, empirical_quantile
 from .simgen import (
+    AR1_BURN_IN,
     SIGNAL_FREQ_HZ,
     calibrate_amplitude,
     derive_rng,
@@ -59,6 +60,7 @@ _STREAM_BLOCKS = 1
 _STREAM_ORACLE = 2
 
 ORACLE_NOISE_LEN = 4096  # synthesis length from which oracle noise windows are cut
+ORACLE_SLAB_SAMPLES = 1 << 18  # noise samples generated per slab of oracle draws, bounds memory
 _POWER_CHUNK = 2048  # blocks per vectorized slab, bounds memory at large draw counts
 MSE_TARGETS = ("block", "global")
 
@@ -280,8 +282,12 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
     generated design noise over the first b1 points, and takes their ratio
     in dB.  AR(1) noise is drawn b1 points long after its burn-in; power-law
     noise, whose synthesis rescales to an exact sample variance, is cut from
-    the start of an ``ORACLE_NOISE_LEN``-point synthesis.
+    the start of an ``ORACLE_NOISE_LEN``-point synthesis.  The generator
+    yields the starts first, then the noise of each draw in turn; the noise
+    is generated a slab of draws at a time, with the values one draw at a
+    time would give.
     """
+    _check_oracle_replicas(replicas)
     if b1 is None:
         b1 = default_b1(b)
     amp = calibrate_amplitude(true_snr_db, noise_variance)
@@ -292,9 +298,28 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
     rng = derive_rng(seed)
     starts = rng.integers(1, n - b + 2, size=replicas)
     u = _true_block_power(amp, starts, b, fs_hz)
-    draw_len = b1 if noise.kind == "ar1" else ORACLE_NOISE_LEN
-    v = np.array([np.var(noise.sample(draw_len, rng)[:b1]) for _ in range(replicas)])
+    draw_len, slab = _oracle_slab(noise.kind, b1)
+    v = np.concatenate([
+        np.var(noise.sample_rows(min(slab, replicas - lo), draw_len, rng)[:, :b1], axis=1)
+        for lo in range(0, replicas, slab)
+    ])
     return 10.0 * np.log10(u / v)
+
+
+def _oracle_slab(kind: str, b1: int) -> tuple[int, int]:
+    """(noise length per oracle draw, draws per slab) for noise of ``kind``.
+
+    A slab generates at most ORACLE_SLAB_SAMPLES noise samples, AR(1)
+    burn-in included: 64 power-law draws, or 259 AR(1) draws at b1 = 11.
+    """
+    if kind == "ar1":
+        return b1, max(1, ORACLE_SLAB_SAMPLES // (b1 + AR1_BURN_IN))
+    return ORACLE_NOISE_LEN, max(1, ORACLE_SLAB_SAMPLES // ORACLE_NOISE_LEN)
+
+
+def _check_oracle_replicas(oracle_replicas: int) -> None:
+    if oracle_replicas < 1:
+        raise ValueError(f"oracle_replicas must be >= 1, got {oracle_replicas}")
 
 
 def oracle_quantiles(design: str, true_snr_db: float, b: int, b1: int | None,
@@ -315,6 +340,7 @@ def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = 4000,
     One cell per (block length, level); the oracle for each block length is
     computed once on its own derived seed stream.
     """
+    _check_oracle_replicas(oracle_replicas)
     return _qmae_report(spec, _run_replicas(spec, workers, replica_order), oracle_replicas)
 
 
@@ -341,8 +367,8 @@ def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
     """
     if not set(metrics) <= {"mse", "qmae"}:
         raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
-    if "qmae" in metrics and oracle_replicas < 1:
-        raise ValueError(f"oracle_replicas must be >= 1, got {oracle_replicas}")
+    if "qmae" in metrics:
+        _check_oracle_replicas(oracle_replicas)
     by_r = _run_replicas(spec, workers, None)
     build = {"mse": lambda: _mse_report(spec, by_r, "block"),
              "qmae": lambda: _qmae_report(spec, by_r, oracle_replicas)}

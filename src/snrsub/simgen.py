@@ -124,6 +124,16 @@ class NoiseSpec:
             return gen_ar1(self.phi, self.variance, n, rng)
         return gen_powerlaw(self.beta, self.variance, n, rng)
 
+    def sample_rows(self, rows: int, n: int, seed) -> np.ndarray:
+        """(rows, n) array whose rows equal ``rows`` consecutive ``sample(n, rng)``
+        calls on one generator, bit for bit, generated a slab at a time."""
+        rng = _as_rng(seed)
+        if self.kind == "white":
+            return rng.normal(0.0, math.sqrt(self.variance), size=(rows, n))
+        if self.kind == "ar1":
+            return _ar1_rows(self.phi, self.variance, rows, n, rng)
+        return _powerlaw_rows(self.beta, self.variance, rows, n, rng)
+
     def describe(self) -> dict:
         """Kind, variance and the kind's own parameter, as a manifest records them."""
         out = {"kind": self.kind, "variance": self.variance}
@@ -195,23 +205,58 @@ def gen_powerlaw(beta: float, target_variance: float, n: int, seed) -> np.ndarra
     recentered and rescaled so the sample variance equals the target exactly,
     making the realized noise power a constant of the design.
     """
-    if n < 16:
-        raise ValueError(f"n must be >= 16, got {n}")
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    rng = _as_rng(seed)
+    return _powerlaw_rows(beta, target_variance, 1, n, _as_rng(seed))[0]
+
+
+def _powerlaw_rows(beta: float, target_variance: float, rows: int, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``rows`` consecutive ``gen_powerlaw`` series from one generator, bit for bit.
+
+    One (rows, 2, n//2) normal draw is the same stream as ``rows`` draws of
+    (2, n//2), and the row-wise irfft, mean and scaling round as the one-row
+    calls do; each row's sum of squares stays its own dot product, since a
+    row-wise einsum rounds differently.
+    """
+    if n < 16:
+        raise ValueError(f"n must be >= 16, got {n}")
     nf = n // 2 + 1
     k = np.arange(1, nf, dtype=np.float64)
     p = k ** (-beta)
-    g = rng.normal(size=(2, nf - 1))
-    coef = np.zeros(nf, dtype=np.complex128)
-    coef[1:] = np.sqrt(0.5 * p) * (g[0] + 1j * g[1])
+    g = rng.normal(size=(rows, 2, nf - 1))
+    coef = np.zeros((rows, nf), dtype=np.complex128)
+    scale = np.sqrt(0.5 * p)
+    # the real and imaginary parts written in place: the same bits as
+    # scale * (g0 + 1j * g1), without its three complex temporaries
+    np.multiply(scale, g[:, 0], out=coef.real[:, 1:])
+    np.multiply(scale, g[:, 1], out=coef.imag[:, 1:])
     if n % 2 == 0:
-        coef[-1] = np.sqrt(p[-1]) * g[0, -1]
-    x = np.fft.irfft(coef, n)
-    x -= x.mean()
-    x *= math.sqrt(target_variance * n / float(x @ x))
+        coef[:, -1] = np.sqrt(p[-1]) * g[:, 0, -1]
+    x = np.fft.irfft(coef, n, axis=-1)
+    x -= x.mean(axis=1, keepdims=True)
+    for r in x:
+        r *= math.sqrt(target_variance * n / float(r @ r))
     return x
+
+
+def _ar1_rows(phi: float, target_variance: float, rows: int, n: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """``rows`` consecutive ``gen_ar1`` series from one generator, bit for bit.
+
+    The burn-in recursion steps all rows at once with the same two roundings
+    per step as the one-row recursion; it loops over the n + AR1_BURN_IN time
+    steps, so it pays off only across many rows.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    sd = math.sqrt(target_variance * (1.0 - phi * phi))
+    u = rng.normal(0.0, sd, size=(rows, n + AR1_BURN_IN)).T.copy()  # time-major
+    y = np.zeros(rows)
+    for ut in u:
+        ut += phi * y
+        y = ut
+    return np.ascontiguousarray(u[AR1_BURN_IN:].T)
 
 
 def gen_design(design: str, target_snr_db: float, fs_hz: float, duration_s: float,

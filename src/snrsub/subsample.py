@@ -34,8 +34,9 @@ __all__ = [
     "select_block_size",
 ]
 
-# below this fraction of the signal power the residual variance is treated as
-# degenerate and the block is skipped (the dB statistic is undefined at 0)
+# at or below this fraction of the signal power the residual variance is
+# treated as degenerate and the block is skipped (the dB statistic is
+# undefined at 0); relative, so the floor does not depend on the input's scale
 VARIANCE_FLOOR = 1e-12
 SKIP_BUDGET = 0.10
 
@@ -144,12 +145,26 @@ def draw_blocks(n: int, b: int, k: int, seed: int) -> np.ndarray:
     return rng.choice(n_starts, size=k, replace=False).astype(np.int64) + 1
 
 
+def _pow2_scaled(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """(block * 2**-e, e) with e the binary exponent of max|block|.
+
+    Scaling by a power of two is exact, so the fit, the CV argmin and the
+    SNR of the scaled block equal those of the block, while its magnitude
+    stays near 1, where sums of squares neither overflow nor underflow.
+    """
+    e = int(np.frexp(np.max(np.abs(block)))[1])
+    return np.ldexp(block, -e), e
+
+
 def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
                   shared_h: float | None):
     """Per-block statistics from raw block samples.
 
-    Returns (signal_power, noise_variance, snr_db, h_hat, skipped).
+    Returns (signal_power, noise_variance, snr_db, h_hat, skipped).  The CV
+    runs on the block rescaled by a power of two; the powers are scaled back
+    exactly, so the statistics do not depend on the input's scale.
     """
+    block, e = _pow2_scaled(block)
     if shared_h is None:
         fit = select_bandwidth(block, grid=grid)
         fitted, residuals, h = fit.fitted, fit.residuals, fit.h_hat
@@ -159,12 +174,14 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
         h = shared_h
     u = float(fitted @ fitted) / fitted.size
     v = float(np.var(residuals[:b1]))
-    if v < VARIANCE_FLOOR * max(u, 1.0):
-        return u, v, math.nan, h, True
+    with np.errstate(over="ignore"):  # a power past the float range reads inf
+        power, variance = np.ldexp([u, v], 2 * e).tolist()
+    if not v > VARIANCE_FLOOR * u:
+        return power, variance, math.nan, h, True
     snr = 10.0 * math.log10(u / v)
     if not math.isfinite(snr):
-        return u, v, math.nan, h, True
-    return u, v, snr, h, False
+        return power, variance, math.nan, h, True
+    return power, variance, snr, h, False
 
 
 def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
@@ -210,7 +227,7 @@ def estimate_snr_distribution(series: TimeSeries, cfg: SubsampleConfig) -> SnrDi
 
     shared_h = None
     if cfg.shared_bandwidth:
-        shared_h = select_bandwidth(blocks[0], grid=cfg.grid).h_hat
+        shared_h = select_bandwidth(_pow2_scaled(blocks[0])[0], grid=cfg.grid).h_hat
 
     values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
                           cfg.workers)

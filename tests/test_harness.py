@@ -15,7 +15,8 @@ from snrsub.harness import (
     oracle_quantiles,
     quantile_mae,
 )
-from snrsub.simgen import calibrate_amplitude, gen_design
+from snrsub.simgen import calibrate_amplitude, derive_rng, design_noise, gen_design
+from snrsub.subsample import ExcessiveSkipsError, default_b1
 
 
 def tiny_spec(**kw):
@@ -75,11 +76,47 @@ class TestOracleQuantiles:
         with pytest.raises(ValueError):
             oracle_quantiles("x", 6.0, 441, None, (0.5,), 10, seed=0)
 
+    @pytest.mark.parametrize("design", ["ar", "p1", "p2"])
+    @pytest.mark.parametrize("b", [441, 662])
+    def test_draws_equal_one_draw_at_a_time(self, design, b):
+        import snrsub.harness as harness
+
+        b1 = default_b1(b)
+        _, slab = harness._oracle_slab(design_noise(design, 1.0).kind, b1)
+        for count in (1, slab - 1, slab, slab + 1, 4000):
+            got = oracle_draws(design, 6.0, b, None, count, seed=count)
+            assert got.tobytes() == reference_oracle_draws(design, 6.0, b, count, count).tobytes()
+
+    def test_slab_sizes(self):
+        import snrsub.harness as harness
+
+        assert harness._oracle_slab("powerlaw", 11) == (harness.ORACLE_NOISE_LEN, 64)
+        assert harness._oracle_slab("ar1", 11) == (11, 259)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_draws_rejected(self, count):
+        with pytest.raises(ValueError, match="oracle_replicas must be >= 1"):
+            oracle_draws("ar", 10.0, 441, None, count, seed=0)
+
     def test_quantiles_of_the_draws(self):
         draws = oracle_draws("ar", 10.0, 441, None, 300, seed=6)
         assert draws.shape == (300,)
         q = oracle_quantiles("ar", 10.0, 441, None, (0.1, 0.9), 300, seed=6)
         assert q == {g: empirical_quantile(draws, g) for g in (0.1, 0.9)}
+
+
+def reference_oracle_draws(design, snr, b, replicas, seed, fs=44100.0, duration=3.0):
+    """The oracle one draw at a time: all starts first, then each draw's noise."""
+    import snrsub.harness as harness
+
+    noise = design_noise(design, 1.0)
+    b1 = default_b1(b)
+    draw_len = b1 if noise.kind == "ar1" else 4096
+    rng = derive_rng(seed)
+    starts = rng.integers(1, int(round(duration * fs)) - b + 2, size=replicas)
+    u = harness._true_block_power(calibrate_amplitude(snr, 1.0), starts, b, fs)
+    v = np.array([np.var(noise.sample(draw_len, rng)[:b1]) for _ in range(replicas)])
+    return 10.0 * np.log10(u / v)
 
 
 class TestMseReport:
@@ -136,11 +173,25 @@ class TestMseReport:
         assert rep.cells[0].se is None
         assert rep.cells[0].mean is not None
 
-    def test_degenerate_noise_reports_invalid_cell(self):
-        rep = mse_signal_power(tiny_spec(replicas=2, noise_variance=1e-30))
+    def test_degenerate_noise_reports_invalid_cell(self, monkeypatch):
+        import snrsub.harness as harness
+
+        def all_skipped(series, cfg):
+            raise ExcessiveSkipsError(cfg.k_blocks, cfg.k_blocks)
+
+        monkeypatch.setattr(harness, "estimate_snr_distribution", all_skipped)
+        rep = mse_signal_power(tiny_spec(replicas=2))
         cell = rep.cells[0]
         assert cell.failures == 2
         assert cell.mean is None and cell.se is None
+
+    def test_tiny_noise_variance_scales_exactly(self):
+        # variance 2**-100 scales the whole series by exactly 2**-50, so the
+        # powers, and their squared errors, scale by powers of two
+        unit = mse_signal_power(tiny_spec(replicas=2)).cells[0]
+        tiny = mse_signal_power(tiny_spec(replicas=2, noise_variance=2.0 ** -100)).cells[0]
+        assert tiny.failures == 0
+        assert tiny.values == tuple(math.ldexp(v, -200) for v in unit.values)
 
     def test_serialization(self):
         rep = mse_signal_power(tiny_spec(replicas=2))
@@ -162,6 +213,16 @@ class TestQuantileMae:
             assert cell.level in (0.1, 0.5, 0.9)
             assert cell.mean >= 0.0
             assert cell.failures == 0
+
+    def test_zero_oracle_draws_fail_before_the_replicas(self, monkeypatch):
+        import snrsub.harness as harness
+
+        def no_replicas(*args):
+            raise AssertionError("replica pass ran")
+
+        monkeypatch.setattr(harness, "_run_replicas", no_replicas)
+        with pytest.raises(ValueError, match="oracle_replicas must be >= 1, got 0"):
+            quantile_mae(tiny_spec(replicas=2), oracle_replicas=0)
 
     def test_deterministic(self):
         a = quantile_mae(tiny_spec(replicas=2), oracle_replicas=300)

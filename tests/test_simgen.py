@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestGenPowerlaw:
         with pytest.raises(ValueError):
             gen_powerlaw(0.5, 1.0, 8, 0)
 
+    # sha256 prefixes of the series the one-draw-at-a-time synthesis wrote,
+    # before the synthesis became the one-row case of the row-batched one
+    @pytest.mark.parametrize("n,beta,variance,seed,sha", [
+        (16, 0.6, 3.0, 5, "d51d567ec1b6b3cd3bc64767ce7b9d03"),
+        (17, 0.2, 1.0, 6, "a0fe0ca9352e27d978b14aef51b35f61"),
+        (4096, 0.6, 1.0, 7, "475b706c3ad19af7960607764178e4df"),
+        (132300, 0.2, 2.5, 8, "5ef9b62c495b9ebb8533c3ba9026ff02"),
+    ])
+    def test_values_pinned(self, n, beta, variance, seed, sha):
+        x = gen_powerlaw(beta, variance, n, seed)
+        assert x.shape == (n,)
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:32] == sha
+
 
 class TestNoiseSpec:
     def test_validation(self):
@@ -154,6 +168,23 @@ class TestNoiseSpec:
         for spec in (NoiseSpec.white(1.0), NoiseSpec.ar1(0.5, 1.0), NoiseSpec.powerlaw(0.2, 1.0)):
             x = spec.sample(256, 7)
             assert x.shape == (256,)
+
+    @pytest.mark.parametrize("spec", [NoiseSpec.white(2.0), NoiseSpec.ar1(-0.7, 1.5),
+                                      NoiseSpec.ar1(0.9, 1.0), NoiseSpec.powerlaw(0.2, 1.0),
+                                      NoiseSpec.powerlaw(0.6, 3.0)])
+    @pytest.mark.parametrize("rows,n", [(1, 16), (5, 17), (3, 64), (7, 1024)])
+    def test_sample_rows_equal_consecutive_samples(self, spec, rows, n):
+        rng = derive_rng(12)
+        want = np.array([spec.sample(n, rng) for _ in range(rows)])
+        got = spec.sample_rows(rows, n, derive_rng(12))
+        assert got.shape == (rows, n) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_sample_rows_bounds(self):
+        with pytest.raises(ValueError):
+            NoiseSpec.powerlaw(0.2, 1.0).sample_rows(2, 8, 0)
+        with pytest.raises(ValueError):
+            NoiseSpec.ar1(0.5, 1.0).sample_rows(2, 0, 0)
 
 
 class TestGenDesign:

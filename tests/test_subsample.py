@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snrsub.core import TimeSeries
 from snrsub.simgen import gen_design
@@ -173,6 +175,38 @@ class TestEstimateDistribution:
         ts = ar_series(duration=0.02)
         with pytest.raises(ValueError):
             estimate_snr_distribution(ts, SubsampleConfig(b=441, k_blocks=10**6, seed=1))
+
+
+class TestScaleInvariance:
+    SERIES = gen_design("p2", 6.0, 4410.0, 1.0, seed=19)
+    CFG = SubsampleConfig(b=64, k_blocks=24, seed=5)
+    BASE = estimate_snr_distribution(SERIES, CFG)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-500, 500))
+    def test_power_of_two_scale_changes_nothing(self, k):
+        ts = TimeSeries(np.ldexp(self.SERIES.samples, k), self.SERIES.sample_rate_hz)
+        dist = estimate_snr_distribution(ts, self.CFG)
+        assert dist.snr_values.tobytes() == self.BASE.snr_values.tobytes()
+        for a, b in zip(dist.estimates, self.BASE.estimates):
+            assert (a.h_hat, a.skipped) == (b.h_hat, b.skipped)
+            assert a.signal_power == math.ldexp(b.signal_power, 2 * k)
+            assert a.noise_variance == math.ldexp(b.noise_variance, 2 * k)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-150, 1e160])
+    def test_extreme_amplitudes_keep_the_quantiles(self, scale):
+        # 1e-7 used to under-floor every block, 1e160 to overflow the CV
+        ts = TimeSeries(self.SERIES.samples * scale, self.SERIES.sample_rate_hz)
+        dist = estimate_snr_distribution(ts, self.CFG)
+        assert dist.skipped == self.BASE.skipped
+        np.testing.assert_allclose(dist.snr_values, self.BASE.snr_values, rtol=1e-9)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -3.5, 2.0 ** -600, 1e300])
+    def test_zero_and_constant_blocks_still_skipped(self, value):
+        est = block_estimate(TimeSeries(np.full(200, value), 1000.0), 10,
+                             SubsampleConfig(b=64, k_blocks=1, seed=0))
+        assert est.skipped
+        assert math.isnan(est.snr_db)
 
 
 class TestConfidenceInterval:
