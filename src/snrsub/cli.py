@@ -35,12 +35,12 @@ from .simgen import (
     gen_design,
     gen_sine,
 )
-from .smoother import select_bandwidth
 from .subsample import (
     ExcessiveSkipsError,
     SubsampleConfig,
     confidence_interval,
     estimate_snr_distribution,
+    select_bandwidth_scaled,
     select_block_size,
 )
 
@@ -67,32 +67,6 @@ class InputDescriptor:
     format: str  # 'wav16' | 'csv' | 'raw_f64le'
     sample_rate_hz: float | None = None
     channel: int = 0
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one estimation run reports, consistent with its distribution.
-
-    ``config`` echoes the resolved statistical settings; ``results`` holds the
-    counts, bandwidth summary, quantile table, and confidence intervals.
-    Wall-clock timings are kept out of the default serialization so identical
-    seeds produce byte-identical reports at any worker count.
-    """
-
-    config: dict
-    results: dict
-    timings: dict
-
-    def to_json(self, include_timings: bool = False) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "estimate",
-            "config": self.config,
-            "results": self.results,
-        }
-        if include_timings:
-            payload["timings"] = self.timings
-        return _dump_json(payload)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -361,9 +335,11 @@ def cmd_estimate(args) -> int:
     dist = estimate_snr_distribution(series, cfg)
     elapsed = time.perf_counter() - t0
 
-    hs = [e.h_hat for e in dist.estimates if not e.skipped]
-    report = RunReport(
-        config={
+    hs = dist.h_hat[dist.kept]
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "estimate",
+        "config": {
             "input": desc.path,
             "format": desc.format,
             "channel": desc.channel,
@@ -378,7 +354,7 @@ def cmd_estimate(args) -> int:
             "levels": list(levels),
             "ci_levels": list(ci_levels),
         },
-        results={
+        "results": {
             "retained": dist.count,
             "skipped": dist.skipped,
             "bandwidth_summary": {
@@ -389,9 +365,10 @@ def cmd_estimate(args) -> int:
             "quantiles_db": {f"{g:g}": dist.quantile(g) for g in levels},
             "ci_db": {f"{lv:g}": list(confidence_interval(dist, lv)) for lv in ci_levels},
         },
-        timings={"estimate_s": elapsed, "threads": threads},
-    )
-    _emit(report.to_json(include_timings=args.timings), args.out)
+    }
+    if args.timings:  # wall-clock only on request, so the default report is reproducible
+        report["timings"] = {"estimate_s": elapsed, "threads": threads}
+    _emit(_dump_json(report), args.out)
     if args.snr_csv:
         lines = ["snr_db"] + [repr(float(v)) for v in dist.snr_values]
         with open(args.snr_csv, "w") as f:
@@ -526,11 +503,14 @@ def cmd_bandwidth(args) -> int:
                        f"block [{start}, {start + b - 1}] outside series of length {series.n}")
     block = series.samples[start - 1:start - 1 + b]
     try:
-        fit = select_bandwidth(block)
+        fit, exponent = select_bandwidth_scaled(block)
     except ValueError as e:
         raise CliError("invalid-config", str(e)) from e
+    hs, cvs = zip(*fit.cv_curve)
+    with np.errstate(over="ignore"):  # a CV value past the float range reads inf
+        cvs = np.ldexp(cvs, 2 * exponent).tolist()
     lines = ["h,cv,selected"]
-    for h, cv in fit.cv_curve:
+    for h, cv in zip(hs, cvs):
         cv_text = "inf" if math.isinf(cv) else repr(cv)
         lines.append(f"{h!r},{cv_text},{1 if h == fit.h_hat else 0}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -32,8 +32,8 @@ from .subsample import (
     ExcessiveSkipsError,
     SnrDistribution,
     SubsampleConfig,
-    block_estimate,
     default_b1,
+    estimate_blocks,
     estimate_snr_distribution,
     parallel_map,
 )
@@ -161,15 +161,14 @@ def replica_distribution(spec: ExperimentSpec, b: int, replica: int) -> SnrDistr
     return estimate_snr_distribution(series, _replica_config(spec, replica, b))
 
 
-def _true_block_power(amp: float, starts, b: int, fs_hz: float) -> np.ndarray:
+def _true_block_power(amp: float, starts: np.ndarray, b: int, fs_hz: float) -> np.ndarray:
     """True signal power mean(s**2) over each block of the design sine.
 
-    ``starts`` are 1-based block starts; the sine is sampled as in
-    ``simgen.gen_sine``.  A block spanning a whole number of periods of
-    sin**2 has power A**2/2 at every start; any other block length has a
-    power that depends on the phase at which the block starts.
+    ``starts`` is an integer array of 1-based block starts; the sine is
+    sampled as in ``simgen.gen_sine``.  A block spanning a whole number of
+    periods of sin**2 has power A**2/2 at every start; any other block length
+    has a power that depends on the phase at which the block starts.
     """
-    starts = np.asarray(starts, dtype=np.int64)
     offsets = np.arange(b)
     out = np.empty(starts.size)
     for lo in range(0, starts.size, _POWER_CHUNK):
@@ -196,10 +195,9 @@ def _replica(spec: ExperimentSpec, r: int) -> tuple[dict, dict]:
         except ExcessiveSkipsError:
             mse[b] = quantiles[b] = None
             continue
-        kept = [e for e in dist.estimates if not e.skipped]
-        power = np.array([e.signal_power for e in kept])
+        power = dist.signal_power[dist.kept]
         truth = {
-            "block": _true_block_power(amp, [e.start for e in kept], b, spec.fs_hz),
+            "block": _true_block_power(amp, dist.starts[dist.kept], b, spec.fs_hz),
             "global": amp ** 2 / 2.0,
         }
         errs = {name: power - truth[name] for name in MSE_TARGETS}
@@ -208,14 +206,9 @@ def _replica(spec: ExperimentSpec, r: int) -> tuple[dict, dict]:
     return mse, quantiles
 
 
-def _run_replicas(spec: ExperimentSpec, workers: int, replica_order) -> list[tuple]:
+def _run_replicas(spec: ExperimentSpec, workers: int) -> list[tuple]:
     """``_replica`` for every replica, listed by replica number."""
-    order = list(range(spec.replicas)) if replica_order is None else list(replica_order)
-    if sorted(order) != list(range(spec.replicas)):
-        raise ValueError("replica_order must be a permutation of range(replicas)")
-    results = parallel_map(_replica, [(spec, r) for r in order], workers)
-    by_r = dict(zip(order, results))
-    return [by_r[r] for r in range(spec.replicas)]
+    return parallel_map(_replica, [(spec, r) for r in range(spec.replicas)], workers)
 
 
 def _aggregate(per_replica_values: list[float | None]):
@@ -230,7 +223,7 @@ def _aggregate(per_replica_values: list[float | None]):
     return mean, se, failures, tuple(float(v) for v in vals)
 
 
-def mse_signal_power(spec: ExperimentSpec, workers: int = 1, replica_order=None,
+def mse_signal_power(spec: ExperimentSpec, workers: int = 1,
                      target: str = "block") -> McReport:
     """Monte Carlo MSE of the per-block signal power.
 
@@ -257,7 +250,7 @@ def mse_signal_power(spec: ExperimentSpec, workers: int = 1, replica_order=None,
     """
     if target not in MSE_TARGETS:
         raise ValueError(f"target must be one of {MSE_TARGETS}, got {target!r}")
-    return _mse_report(spec, _run_replicas(spec, workers, replica_order), target)
+    return _mse_report(spec, _run_replicas(spec, workers), target)
 
 
 def _mse_report(spec: ExperimentSpec, by_r: list[tuple], target: str) -> McReport:
@@ -334,14 +327,13 @@ def oracle_quantiles(design: str, true_snr_db: float, b: int, b1: int | None,
 
 
 def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = 4000,
-                 workers: int = 1, replica_order=None) -> McReport:
+                 workers: int = 1) -> McReport:
     """Mean absolute deviation of estimated quantiles from the oracle, in dB.
 
     One cell per (block length, level); the oracle for each block length is
     computed once on its own derived seed stream.
     """
-    _check_oracle_replicas(oracle_replicas)
-    return _qmae_report(spec, _run_replicas(spec, workers, replica_order), oracle_replicas)
+    return mc_reports(spec, ("qmae",), oracle_replicas, workers)["qmae"]
 
 
 def _qmae_report(spec: ExperimentSpec, by_r: list[tuple], oracle_replicas: int) -> McReport:
@@ -369,7 +361,7 @@ def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
         raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
     if "qmae" in metrics:
         _check_oracle_replicas(oracle_replicas)
-    by_r = _run_replicas(spec, workers, None)
+    by_r = _run_replicas(spec, workers)
     build = {"mse": lambda: _mse_report(spec, by_r, "block"),
              "qmae": lambda: _qmae_report(spec, by_r, oracle_replicas)}
     return {m: build[m]() for m in metrics}
@@ -431,14 +423,12 @@ def exhaustive_subsample_check(series: TimeSeries, b: int, b1: int | None = None
     must equal the exhaustive one exactly; with smaller k it subsamples it.
     Only practical at small n (the exhaustive side smooths every block).
     """
-    n = series.n
-    n_starts = n - b + 1
+    n_starts = series.n - b + 1
     if k is None:
         k = n_starts
     cfg = SubsampleConfig(b=b, k_blocks=k, seed=seed, b1=b1)
     dist = estimate_snr_distribution(series, cfg)
-    ex = [block_estimate(series, t, cfg) for t in range(1, n_starts + 1)]
-    ex_values = np.sort(np.array([e.snr_db for e in ex if not e.skipped]))
+    ex_values = estimate_blocks(series, np.arange(1, n_starts + 1), cfg).snr_values
     return ExhaustiveComparison(
         randomized=dist.snr_values,
         exhaustive=ex_values,

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .core import TimeSeries, empirical_quantile
 from .simgen import derive_rng, derive_seed
-from .smoother import BandwidthGrid, priestley_chao_fit, select_bandwidth
+from .smoother import BandwidthGrid, KernelFit, priestley_chao_fit, select_bandwidth
 
 __all__ = [
     "SubsampleConfig",
@@ -28,7 +29,9 @@ __all__ = [
     "ExcessiveSkipsError",
     "default_b1",
     "draw_blocks",
+    "select_bandwidth_scaled",
     "block_estimate",
+    "estimate_blocks",
     "estimate_snr_distribution",
     "confidence_interval",
     "select_block_size",
@@ -112,12 +115,36 @@ class SubsampleEstimate:
 
 @dataclass(frozen=True)
 class SnrDistribution:
-    """The retained per-block SNR values with quantile accessors."""
+    """Per-block results as columns in draw order, with quantile accessors.
 
-    snr_values: np.ndarray
-    estimates: tuple[SubsampleEstimate, ...]
+    Row i of the columns is block i, as in ``SubsampleEstimate``; ``kept``
+    is False where the block was skipped and its ``snr_db`` is NaN.
+    """
+
+    starts: np.ndarray
+    signal_power: np.ndarray
+    noise_variance: np.ndarray
+    snr_db: np.ndarray
+    h_hat: np.ndarray
+    kept: np.ndarray
     config: SubsampleConfig
-    skipped: int
+
+    @cached_property
+    def snr_values(self) -> np.ndarray:
+        """The retained SNR values in ascending order."""
+        return np.sort(self.snr_db[self.kept])
+
+    @property
+    def estimates(self) -> tuple[SubsampleEstimate, ...]:
+        """The rows as ``SubsampleEstimate`` objects, built on each access."""
+        rows = zip(self.starts.tolist(), self.signal_power.tolist(),
+                   self.noise_variance.tolist(), self.snr_db.tolist(),
+                   self.h_hat.tolist(), (~self.kept).tolist())
+        return tuple(SubsampleEstimate(*row) for row in rows)
+
+    @property
+    def skipped(self) -> int:
+        return int(self.kept.size - np.count_nonzero(self.kept))
 
     @property
     def count(self) -> int:
@@ -156,19 +183,30 @@ def _pow2_scaled(block: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(block, -e), e
 
 
+def select_bandwidth_scaled(block, grid: BandwidthGrid | None = None) -> tuple[KernelFit, int]:
+    """(select_bandwidth(block * 2**-e), e), e as in ``_pow2_scaled``.
+
+    The selected bandwidth is the block's own; ``np.ldexp(x, e)`` scales a
+    fitted value back, ``np.ldexp(x, 2*e)`` a power or a CV value.
+    """
+    scaled, e = _pow2_scaled(block)
+    return select_bandwidth(scaled, grid=grid), e
+
+
 def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
                   shared_h: float | None):
     """Per-block statistics from raw block samples.
 
-    Returns (signal_power, noise_variance, snr_db, h_hat, skipped).  The CV
-    runs on the block rescaled by a power of two; the powers are scaled back
-    exactly, so the statistics do not depend on the input's scale.
+    Returns (signal_power, noise_variance, snr_db, h_hat); snr_db is NaN
+    when the block is skipped.  The fit runs on the block rescaled by a
+    power of two; the powers are scaled back exactly, so the statistics do
+    not depend on the input's scale.
     """
-    block, e = _pow2_scaled(block)
     if shared_h is None:
-        fit = select_bandwidth(block, grid=grid)
+        fit, e = select_bandwidth_scaled(block, grid)
         fitted, residuals, h = fit.fitted, fit.residuals, fit.h_hat
     else:
+        block, e = _pow2_scaled(block)
         fitted = priestley_chao_fit(block, shared_h)
         residuals = block - fitted
         h = shared_h
@@ -177,20 +215,20 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
     with np.errstate(over="ignore"):  # a power past the float range reads inf
         power, variance = np.ldexp([u, v], 2 * e).tolist()
     if not v > VARIANCE_FLOOR * u:
-        return power, variance, math.nan, h, True
+        return power, variance, math.nan, h
     snr = 10.0 * math.log10(u / v)
-    if not math.isfinite(snr):
-        return power, variance, math.nan, h, True
-    return power, variance, snr, h, False
+    return power, variance, (snr if math.isfinite(snr) else math.nan), h
 
 
 def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
     """[fn(*args) for args in arg_tuples], over ``workers`` processes if > 1.
 
     Results come back in input order, so they never depend on the worker
-    count; ``fn`` and its arguments must be picklable.
+    count; ``fn`` and its arguments must be picklable.  No more processes
+    start than there are calls.
     """
-    if workers == 1:
+    workers = min(workers, len(arg_tuples))
+    if workers <= 1:
         return [fn(*args) for args in arg_tuples]
     chunk = max(1, len(arg_tuples) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -207,9 +245,25 @@ def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> Subs
     n = series.n
     if not (1 <= start and start + cfg.b - 1 <= n):
         raise ValueError(f"block [{start}, {start + cfg.b - 1}] outside series of length {n}")
-    block = series.samples[start - 1:start - 1 + cfg.b]
-    u, v, snr, h, skipped = _block_values(block, cfg.b1, cfg.grid, None)
-    return SubsampleEstimate(int(start), u, v, snr, h, skipped)
+    return estimate_blocks(series, [start], cfg).estimates[0]
+
+
+def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDistribution:
+    """Estimate the blocks at the 1-based ``starts``, in their order.
+
+    Blocks run over ``cfg.workers`` processes; with ``cfg.shared_bandwidth``
+    the bandwidth cross-validated on the first block serves every block.
+    No skip budget is applied.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    blocks = [series.samples[t - 1:t - 1 + cfg.b] for t in starts]
+    shared_h = None
+    if cfg.shared_bandwidth:
+        shared_h = select_bandwidth_scaled(blocks[0], cfg.grid)[0].h_hat
+    values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
+                          cfg.workers)
+    u, v, snr, h = (np.array(col, dtype=np.float64) for col in zip(*values))
+    return SnrDistribution(starts, u, v, snr, h, ~np.isnan(snr), cfg)
 
 
 def estimate_snr_distribution(series: TimeSeries, cfg: SubsampleConfig) -> SnrDistribution:
@@ -219,28 +273,10 @@ def estimate_snr_distribution(series: TimeSeries, cfg: SubsampleConfig) -> SnrDi
     the result is a pure function of (series, cfg) regardless of worker
     count.  Fails if more than 10% of blocks are skipped.
     """
-    n = series.n
-    if cfg.b > n:
-        raise ValueError(f"block length {cfg.b} exceeds series length {n}")
-    starts = draw_blocks(n, cfg.b, cfg.k_blocks, cfg.seed)
-    blocks = [series.samples[t - 1:t - 1 + cfg.b] for t in starts]
-
-    shared_h = None
-    if cfg.shared_bandwidth:
-        shared_h = select_bandwidth(_pow2_scaled(blocks[0])[0], grid=cfg.grid).h_hat
-
-    values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
-                          cfg.workers)
-
-    estimates = tuple(
-        SubsampleEstimate(int(t), u, v, snr, h, skipped)
-        for t, (u, v, snr, h, skipped) in zip(starts, values)
-    )
-    skipped = sum(e.skipped for e in estimates)
-    if skipped > SKIP_BUDGET * cfg.k_blocks:
-        raise ExcessiveSkipsError(skipped, cfg.k_blocks)
-    snr_values = np.sort(np.array([e.snr_db for e in estimates if not e.skipped]))
-    return SnrDistribution(snr_values, estimates, cfg, skipped)
+    dist = estimate_blocks(series, draw_blocks(series.n, cfg.b, cfg.k_blocks, cfg.seed), cfg)
+    if dist.skipped > SKIP_BUDGET * cfg.k_blocks:
+        raise ExcessiveSkipsError(dist.skipped, cfg.k_blocks)
+    return dist
 
 
 def confidence_interval(dist: SnrDistribution, level: float) -> tuple[float, float]:
@@ -291,14 +327,7 @@ def select_block_size(series: TimeSeries, candidates, cfg_template: SubsampleCon
 
     q_low, q_high = [], []
     for b in cand:
-        cfg = SubsampleConfig(
-            b=b,
-            k_blocks=cfg_template.k_blocks,
-            seed=derive_seed(cfg_template.seed, b),
-            grid=cfg_template.grid,
-            workers=cfg_template.workers,
-            shared_bandwidth=cfg_template.shared_bandwidth,
-        )
+        cfg = replace(cfg_template, b=b, seed=derive_seed(cfg_template.seed, b), b1=None)
         dist = estimate_snr_distribution(series, cfg)
         q_low.append(dist.quantile(levels[0]))
         q_high.append(dist.quantile(levels[1]))

@@ -474,6 +474,23 @@ class TestBandwidthCmd:
         assert cvs[chosen] == min(finite)
         assert hs == sorted(hs)
 
+    def test_selection_does_not_depend_on_amplitude(self, tmp_path, capsys):
+        # 1e160 used to overflow the CV and exit invalid-config
+        path, _ = simulate_ar(tmp_path, capsys)
+        samples = read_input(InputDescriptor(path, "raw_f64le", 44100.0)).samples
+        chosen = {}
+        for scale in (1.0, 1e160, 1e-150):
+            scaled = make_raw(tmp_path, samples * scale, name=f"x{scale:g}.raw")
+            code, stdout, stderr = run_cli(
+                capsys, "bandwidth", "--input", scaled, "--fs", "44100",
+                "--block-ms", "10", "--start", "500",
+            )
+            assert code == 0, stderr
+            rows = [ln.split(",") for ln in stdout.splitlines()[1:]]
+            chosen[scale] = [r[0] for r in rows if r[2] == "1"]
+        assert chosen[1e160] == chosen[1e-150] == chosen[1.0]
+        assert len(chosen[1.0]) == 1
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

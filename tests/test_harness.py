@@ -134,14 +134,6 @@ class TestMseReport:
             float(np.std(vals, ddof=1) / math.sqrt(len(vals))), rel=1e-12
         )
 
-    def test_replica_order_irrelevant(self):
-        spec = tiny_spec()
-        a = mse_signal_power(spec)
-        b = mse_signal_power(spec, replica_order=[3, 1, 0, 2])
-        assert a.cells[0].mean == b.cells[0].mean
-        assert a.cells[0].se == b.cells[0].se
-        assert a.cells[0].values == b.cells[0].values
-
     def test_target_is_each_blocks_own_power(self):
         # a 662-sample block spans 1.5 periods of sin**2 at 50 Hz and 44.1 kHz,
         # so its true power is A**2 * (1/2 + sin(theta) / (3*pi)); scoring
@@ -251,6 +243,13 @@ class TestMcReports:
         spec = tiny_spec(replicas=3, block_lengths=(441, 662))
         mc_reports(spec, ("mse", "qmae"), oracle_replicas=100)
         assert len(calls) == spec.replicas * len(spec.block_lengths)
+
+    def test_worker_pool_changes_no_cell(self):
+        spec = tiny_spec(replicas=3)
+        serial = mc_reports(spec, ("mse", "qmae"), oracle_replicas=200, workers=1)
+        pooled = mc_reports(spec, ("mse", "qmae"), oracle_replicas=200, workers=2)
+        for name in ("mse", "qmae"):
+            assert pooled[name].cells == serial[name].cells  # values included
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,21 @@ class TestEstimateDistribution:
         retained = sorted(e.snr_db for e in dist.estimates if not e.skipped)
         np.testing.assert_array_equal(dist.snr_values, retained)
 
+    def test_columns_agree_with_the_estimates_view(self):
+        ts = TimeSeries(np.concatenate([np.ones(200), ar_series(duration=0.05).samples]), 44100.0)
+        dist = estimate_snr_distribution(ts, SubsampleConfig(b=64, k_blocks=80, seed=1))
+        assert 0 < dist.skipped  # some blocks fall in the constant stretch
+        ests = dist.estimates
+        assert [e.start for e in ests] == dist.starts.tolist()
+        assert [e.signal_power for e in ests] == dist.signal_power.tolist()
+        assert [e.noise_variance for e in ests] == dist.noise_variance.tolist()
+        assert [e.h_hat for e in ests] == dist.h_hat.tolist()
+        assert [not e.skipped for e in ests] == dist.kept.tolist()
+        np.testing.assert_array_equal([e.snr_db for e in ests], dist.snr_db)
+        assert dist.skipped == sum(e.skipped for e in ests)
+        np.testing.assert_array_equal(dist.snr_values, np.sort(dist.snr_db[dist.kept]))
+        assert np.isnan(dist.snr_db[~dist.kept]).all()
+
     def test_worker_count_never_changes_results(self):
         ts = ar_series()
         base = estimate_snr_distribution(ts, SubsampleConfig(b=441, k_blocks=32, seed=7))
@@ -240,8 +255,12 @@ class TestConfidenceInterval:
 def _dist_from_values(values):
     from snrsub.subsample import SnrDistribution
 
-    cfg = SubsampleConfig(b=16, k_blocks=max(1, len(values)), seed=0)
-    return SnrDistribution(np.sort(values), (), cfg, 0)
+    k = len(values)
+    cfg = SubsampleConfig(b=16, k_blocks=max(1, k), seed=0)
+    ones = np.ones(k)
+    return SnrDistribution(starts=np.arange(1, k + 1), signal_power=ones, noise_variance=ones,
+                           snr_db=np.asarray(values, dtype=np.float64), h_hat=ones,
+                           kept=np.ones(k, dtype=bool), config=cfg)
 
 
 class TestSelectBlockSize:
