@@ -206,9 +206,31 @@ def _replica(spec: ExperimentSpec, r: int) -> tuple[dict, dict]:
     return mse, quantiles
 
 
-def _run_replicas(spec: ExperimentSpec, workers: int) -> list[tuple]:
-    """``_replica`` for every replica, listed by replica number."""
-    return parallel_map(_replica, [(spec, r) for r in range(spec.replicas)], workers)
+def _oracle(spec: ExperimentSpec, b: int, oracle_replicas: int) -> dict[float, float]:
+    """Oracle quantiles at block length b, on b's own derived seed stream."""
+    return oracle_quantiles(spec.design, spec.true_snr_db, b, None, spec.levels,
+                            oracle_replicas, derive_seed(spec.seed, _STREAM_ORACLE, b),
+                            spec.fs_hz, spec.duration_s, spec.noise_variance)
+
+
+def _call(fn, args: tuple):
+    return fn(*args)
+
+
+def _run_replicas(spec: ExperimentSpec, workers: int,
+                  oracle_replicas: int = 0) -> tuple[list[tuple], dict[int, dict]]:
+    """(``_replica`` for every replica, listed by replica number, ``_oracle``
+    per block length when ``oracle_replicas`` >= 1).
+
+    Replicas and oracles run as jobs of one pool, oracles first, since each
+    takes about as long as several replicas.  Every job draws from its own
+    derived seed stream, so no result depends on the worker count.
+    """
+    oracle_b = spec.block_lengths if oracle_replicas >= 1 else ()
+    jobs = [(_oracle, (spec, b, oracle_replicas)) for b in oracle_b]
+    jobs += [(_replica, (spec, r)) for r in range(spec.replicas)]
+    out = parallel_map(_call, jobs, workers)
+    return out[len(oracle_b):], dict(zip(oracle_b, out))
 
 
 def _aggregate(per_replica_values: list[float | None]):
@@ -250,7 +272,7 @@ def mse_signal_power(spec: ExperimentSpec, workers: int = 1,
     """
     if target not in MSE_TARGETS:
         raise ValueError(f"target must be one of {MSE_TARGETS}, got {target!r}")
-    return _mse_report(spec, _run_replicas(spec, workers), target)
+    return _mse_report(spec, _run_replicas(spec, workers)[0], target)
 
 
 def _mse_report(spec: ExperimentSpec, by_r: list[tuple], target: str) -> McReport:
@@ -336,15 +358,13 @@ def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = 4000,
     return mc_reports(spec, ("qmae",), oracle_replicas, workers)["qmae"]
 
 
-def _qmae_report(spec: ExperimentSpec, by_r: list[tuple], oracle_replicas: int) -> McReport:
+def _qmae_report(spec: ExperimentSpec, by_r: list[tuple],
+                 oracles: dict[int, dict[float, float]]) -> McReport:
     cells = []
     for b in spec.block_lengths:
-        oracle = oracle_quantiles(spec.design, spec.true_snr_db, b, None, spec.levels,
-                                  oracle_replicas, derive_seed(spec.seed, _STREAM_ORACLE, b),
-                                  spec.fs_hz, spec.duration_s, spec.noise_variance)
         for g in spec.levels:
             mean, se, failures, vals = _aggregate(
-                [None if q[b] is None else abs(q[b][g] - oracle[g]) for _, q in by_r])
+                [None if q[b] is None else abs(q[b][g] - oracles[b][g]) for _, q in by_r])
             cells.append(McCell(spec.design, spec.true_snr_db, b, "quantile_mae",
                                 g, mean, se, spec.replicas, failures, vals))
     return McReport(spec, tuple(cells))
@@ -354,16 +374,17 @@ def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
                workers: int = 1) -> dict[str, McReport]:
     """The 'mse' and/or 'qmae' reports from a single pass over the replicas.
 
-    Each replica is estimated once per block length; every report equals the
-    one ``mse_signal_power`` or ``quantile_mae`` gives alone.
+    Each replica is estimated once per block length, and the oracles run in
+    the same pool as the replicas; every report equals the one
+    ``mse_signal_power`` or ``quantile_mae`` gives alone.
     """
     if not set(metrics) <= {"mse", "qmae"}:
         raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
     if "qmae" in metrics:
         _check_oracle_replicas(oracle_replicas)
-    by_r = _run_replicas(spec, workers)
+    by_r, oracles = _run_replicas(spec, workers, oracle_replicas if "qmae" in metrics else 0)
     build = {"mse": lambda: _mse_report(spec, by_r, "block"),
-             "qmae": lambda: _qmae_report(spec, by_r, oracle_replicas)}
+             "qmae": lambda: _qmae_report(spec, by_r, oracles)}
     return {m: build[m]() for m in metrics}
 
 

@@ -85,7 +85,11 @@ class KernelFit:
     ``fitted`` and ``residuals`` are aligned with the input samples; ``h_hat``
     is the selected bandwidth (a member of the evaluated grid), ``cv_curve``
     the evaluated (h, CV(h)) pairs, and ``m_lags`` the autocorrelation cutoff
-    used at ``h_hat``.
+    used at ``h_hat``.  ``fitted`` and ``residuals`` are those of the direct
+    fit at ``h_hat``; a CV value in ``cv_curve`` is the direct one for the
+    candidates ``select_bandwidth`` evaluated directly (``h_hat`` among
+    them) and the FFT one otherwise, which may differ from the direct value
+    in its last digits.
     """
 
     fitted: np.ndarray
@@ -188,6 +192,132 @@ def _lag_cutoff(n: int, h: float) -> int:
     return min(max(1, int(math.floor(math.sqrt(n * h)))), n // 4)
 
 
+# rows x padded length of one batch of candidate fits, bounds the engine's memory
+CV_BATCH_SAMPLES = 1 << 18
+# FFT CV values within this share of (min CV + mean(y**2)) of the minimum, and
+# correction factors within CV_GUARD_BAND of CORRECTION_FLOOR, are decided by
+# the direct fit, so rounding in the FFT arithmetic cannot move the argmin
+CV_TIE_BAND = 1e-12
+CV_GUARD_BAND = 1e-9
+# the FFT fit's rounding is relative to the block's scale, so its CV has a
+# relative error of about 1e-16 * sqrt(mean(y**2) / mse); below this share of
+# mean(y**2) the residual energy is evaluated directly, which keeps every
+# reported CV within 1e-12 of the direct value (and covers zero residuals)
+CV_RESIDUAL_FLOOR = 1e-6
+
+
+def _smooth_length(target: int) -> int:
+    """Smallest 2**a * 3**b * 5**c at or above ``target``."""
+    best = 1 << max(0, (target - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < target:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@dataclass(frozen=True)
+class _CvPlan:
+    """Per-(n, grid, regime) arrays of the batched CV engine.
+
+    ``hs`` are the grid values.  Row k belongs to candidate ``index[k]``
+    (candidates whose window holds no neighbor have no row).  ``spectra``
+    holds the real rfft of each kernel stencil placed circularly at offset 0
+    in ``length`` samples, ``length`` >= n + the largest radius, so the
+    circular convolution equals the linear one on the n fitted points;
+    ``den`` the boundary weight sums; ``centre`` is K(0).  The correction
+    factor's lag sum sum_{1<=j<=m} 2*K(j/(nh)) * g_j, with m = min(M, radius)
+    and g_j = sum_t e_t e_{t+j}, equals sum_k P_k * ``lag_spectra[k]`` for
+    the power spectrum P of the residuals zero-padded to ``length``, since
+    m <= radius keeps the circular autocovariances equal to the linear ones.
+    One length for both transforms keeps numpy's FFT plan cache to one
+    entry per block length.
+    """
+
+    hs: tuple[float, ...]
+    index: np.ndarray
+    nh: np.ndarray
+    spectra: np.ndarray
+    den: np.ndarray
+    centre: np.ndarray
+    lag_spectra: np.ndarray
+    length: int
+
+
+@lru_cache(maxsize=1)
+def _cv_plan(n: int, grid: BandwidthGrid, regime: DependenceRegime | None) -> _CvPlan:
+    hs = tuple(grid.values(n, regime).tolist())
+    index = [i for i, h in enumerate(hs) if int(n * h) >= 1]
+    radii = [int(math.floor(n * hs[i])) for i in index]
+    length = _smooth_length(n + max(radii, default=0))
+    lags = [min(_lag_cutoff(n, hs[i]), r) for i, r in zip(index, radii)]
+    # g_j = sum_k P_k cos(2 pi j k / N) / N over all N bins; an rfft bin other
+    # than 0 and N/2 stands for two of them
+    fold = np.full(length // 2 + 1, 2.0 / length)
+    fold[0] = 1.0 / length
+    if length % 2 == 0:
+        fold[-1] = 1.0 / length
+    spectra = np.empty((len(index), length // 2 + 1))
+    den = np.empty((len(index), n))
+    centre = np.empty(len(index))
+    lag_spectra = np.empty((len(index), length // 2 + 1))
+    kern, lag_kern = np.zeros(length), np.zeros(length)
+    pos = np.arange(n)
+    for k, (i, r, m) in enumerate(zip(index, radii, lags)):
+        w = epanechnikov(np.arange(-r, r + 1) / (n * hs[i]))
+        kern[:] = 0.0
+        kern[:r + 1] = w[r:]
+        kern[length - r:] = w[:r]
+        spectra[k] = np.fft.rfft(kern).real  # w is symmetric, so its spectrum is real
+        csum = np.concatenate(([0.0], np.cumsum(w)))
+        den[k] = csum[np.minimum(2 * r, r + pos) + 1] - csum[np.maximum(0, r + pos - n + 1)]
+        centre[k] = w[r]
+        lag_kern[:] = 0.0
+        lag_kern[1:m + 1] = 2.0 * w[r + 1:r + 1 + m]
+        lag_spectra[k] = np.fft.rfft(lag_kern).real * fold  # sum_j lag_kern[j] cos(2 pi j k / N)
+    nh = n * np.asarray(hs)[index]
+    return _CvPlan(hs, np.array(index, dtype=np.int64), nh, spectra, den, centre,
+                   lag_spectra, length)
+
+
+def _fft_cv(y: np.ndarray, plan: _CvPlan):
+    """(cv, mse, factor) of every plan row from FFT fits of y.
+
+    One rfft of y serves every row; rows are fitted a batch at a time, and
+    each batch's residual lag sums come from one more rfft of its residual
+    matrix.
+    """
+    n, rows = y.size, plan.index.size
+    mse, factor = np.empty(rows), np.zeros(rows)
+    spec_y = np.fft.rfft(y, plan.length)
+    batch = max(1, CV_BATCH_SAMPLES // plan.length)
+    for lo in range(0, rows, batch):
+        sl = slice(lo, min(lo + batch, rows))
+        spec = plan.spectra[sl] * spec_y
+        e = np.fft.irfft(spec, plan.length, axis=1)[:, :n]
+        e /= plan.den[sl]
+        np.subtract(y, e, out=e)
+        energy = np.einsum("ij,ij->i", e, e)
+        mse[sl] = energy / n
+        parts = np.fft.rfft(e, plan.length, axis=1, out=spec).view(np.float64)
+        np.square(parts, out=parts)  # (re**2, im**2) per bin: the power spectrum in two halves
+        lagged = (np.einsum("ij,ij->i", parts[:, 0::2], plan.lag_spectra[sl])
+                  + np.einsum("ij,ij->i", parts[:, 1::2], plan.lag_spectra[sl]))
+        ok = energy > 0.0  # else the factor is undefined; CV_RESIDUAL_FLOOR sends the row direct
+        acc = plan.centre[sl] + lagged / np.where(ok, energy, 1.0)
+        factor[sl] = np.where(ok, 1.0 - acc / plan.nh[sl], 0.0)
+    cv = np.full(rows, math.inf)
+    valid = factor >= CORRECTION_FLOOR
+    cv[valid] = mse[valid] / (factor[valid] * factor[valid])
+    return cv, mse, factor
+
+
 def select_bandwidth(
     y,
     regime: DependenceRegime | None = None,
@@ -198,6 +328,13 @@ def select_bandwidth(
     The lag cutoff is M = max(1, floor(sqrt(n*h))) per candidate, capped at
     n/4.  Ties in the argmin break toward the smaller h.  Raises if every
     candidate is rejected by the correction-factor guard.
+
+    Every candidate's CV comes from FFT arithmetic.  The candidates that
+    could be the minimum (within the tie band of it, or at the guard) and
+    those whose residual energy is too small for the FFT's rounding are
+    evaluated again with the direct fit, and the first minimum among them
+    wins.  The selected h, its fit and its residuals are therefore those of
+    the direct per-candidate rule.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
@@ -205,24 +342,46 @@ def select_bandwidth(
         raise ValueError(f"need at least 16 samples, got {n}")
     if grid is None:
         grid = BandwidthGrid()
-    hs = grid.values(n, regime)
-    best = None
-    curve = []
-    for h in hs:
-        h = float(h)
-        M = _lag_cutoff(n, h)
-        cv, fitted, e = _cv_eval(y, h, M)
-        curve.append((h, cv))
-        if math.isfinite(cv) and (best is None or cv < best[0]):
-            best = (cv, h, fitted, e, M)
+    plan = _cv_plan(n, grid, regime)
+    hs = plan.hs
+    cv, mse, factor = _fft_cv(y, plan)
+    curve = [math.inf] * len(hs)
+    for i, c in zip(plan.index.tolist(), cv.tolist()):
+        curve[i] = c
+    finite = np.isfinite(cv)
+    trusted = False
+    if finite.any():
+        lowest = int(np.argmin(np.where(finite, cv, math.inf)))
+        cv_min = float(cv[lowest])
+        mean_sq = float(y @ y) / n
+        tol = CV_TIE_BAND * (cv_min + mean_sq)
+        direct = ((finite & (cv <= cv_min + tol)) | (mse <= CV_RESIDUAL_FLOOR * mean_sq)
+                  | (np.abs(factor - CORRECTION_FLOOR) <= CV_GUARD_BAND))
+        best = _first_minimum(y, hs, plan.index[direct].tolist(), curve)
+        # the FFT minimum itself was refitted; off by more than the band, the
+        # FFT values cannot rank this block and every candidate goes direct
+        trusted = abs(curve[plan.index[lowest]] - cv_min) <= tol
+    if not trusted:
+        best = _first_minimum(y, hs, range(len(hs)), curve)
     if best is None:
         raise ValueError("correction factor degenerate across grid")
     _, h_hat, fitted, e, M = best
-    return KernelFit(
-        fitted=fitted,
-        residuals=e,
-        h_hat=h_hat,
-        cv_curve=tuple(curve),
-        m_lags=M,
-    )
+    return KernelFit(fitted=fitted, residuals=e, h_hat=h_hat,
+                     cv_curve=tuple(zip(hs, curve)), m_lags=M)
 
+
+def _first_minimum(y: np.ndarray, hs, candidates, curve: list):
+    """Direct ``_cv_eval`` of the listed candidates, in grid order.
+
+    Writes each value into ``curve`` and returns the first finite minimum as
+    (cv, h, fitted, residuals, M), or None.
+    """
+    best = None
+    for i in candidates:
+        h = hs[i]
+        M = _lag_cutoff(y.size, h)
+        cv, fitted, e = _cv_eval(y, h, M)
+        curve[i] = cv
+        if math.isfinite(cv) and (best is None or cv < best[0]):
+            best = (cv, h, fitted, e, M)
+    return best

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -254,6 +255,22 @@ class TestMcReports:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             mc_reports(tiny_spec(replicas=1), ("mse", "rmse"))
+
+    def test_oracles_run_in_the_worker_pool(self, monkeypatch):
+        import snrsub.harness as harness
+
+        parent, original = os.getpid(), harness.oracle_quantiles
+
+        def workers_only(*args):
+            if os.getpid() == parent:
+                raise AssertionError("oracle drawn in the parent process")
+            return original(*args)
+
+        spec = tiny_spec(replicas=2, block_lengths=(441, 662))
+        serial = mc_reports(spec, ("qmae",), oracle_replicas=200, workers=1)["qmae"]
+        monkeypatch.setattr(harness, "oracle_quantiles", workers_only)
+        pooled = mc_reports(spec, ("qmae",), oracle_replicas=200, workers=2)["qmae"]
+        assert pooled.cells == serial.cells
 
 
 class TestExhaustive:

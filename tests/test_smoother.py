@@ -1,11 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from snrsub.core import lrd
+import snrsub.smoother as smoother
+from snrsub.core import TimeSeries, lrd
 from snrsub.harness import mise_probe
 from snrsub.simgen import NoiseSpec, gen_ar1
+from snrsub.subsample import SubsampleConfig, estimate_blocks
 from snrsub.smoother import (
     BandwidthGrid,
     autocovariance,
@@ -253,6 +258,147 @@ class TestSelectBandwidth:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             select_bandwidth(np.ones(15))
+
+
+BLOCK_KINDS = ("white", "ar1", "powerlaw", "zero", "constant", "impulse",
+               "clipped_sine", "alternating", "outlier")
+
+
+def make_block(kind: str, n: int, seed: int) -> np.ndarray:
+    """A test block of ``kind``: noise with a sine in it, or an adversarial shape."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, n + 1) / n
+    sine = rng.uniform(0.1, 3.0) * np.sin(2 * np.pi * rng.uniform(0.2, 4.0) * t)
+    noise = {"white": NoiseSpec.white(0.3), "ar1": NoiseSpec.ar1(0.6, 0.3),
+             "powerlaw": NoiseSpec.powerlaw(0.7, 0.3)}
+    if kind in noise:
+        return sine + noise[kind].sample(n, rng)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, rng.uniform(-5.0, 5.0))
+    if kind == "impulse":
+        y = np.zeros(n)
+        y[rng.integers(n)] = rng.uniform(0.5, 2.0)
+        return y
+    if kind == "clipped_sine":
+        return np.clip(sine, -0.5, 0.5)
+    if kind == "alternating":
+        return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    y = NoiseSpec.white(1.0).sample(n, rng)  # outlier
+    y[rng.integers(n)] = 1e6
+    return y
+
+
+def direct_selection(y):
+    """Per-candidate ``cv_objective`` over the default grid and the first minimum."""
+    n = y.size
+    hs = BandwidthGrid().values(n).tolist()
+    cvs = [cv_objective(y, h, min(max(1, int(math.floor(math.sqrt(n * h)))), n // 4))
+           for h in hs]
+    finite = [(cv, i) for i, cv in enumerate(cvs) if math.isfinite(cv)]
+    return hs, cvs, hs[min(finite)[1]]
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """The h of every direct ``_cv_eval`` call, in call order."""
+    calls = []
+    original = smoother._cv_eval
+
+    def counted(y, h, M):
+        calls.append(h)
+        return original(y, h, M)
+
+    monkeypatch.setattr(smoother, "_cv_eval", counted)
+    return calls
+
+
+class TestBatchedCv:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(16, 5000), kind=st.sampled_from(BLOCK_KINDS),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(-40, 40))
+    @example(n=5000, kind="clipped_sine", seed=1, k=0)
+    @example(n=4410, kind="powerlaw", seed=2, k=-3)
+    @example(n=16, kind="constant", seed=3, k=40)
+    def test_equals_the_direct_rule(self, n, kind, seed, k):
+        y = np.ldexp(make_block(kind, n, seed), k)
+        fit = select_bandwidth(y)
+        hs, cvs, h_hat = direct_selection(y)
+        assert fit.h_hat == h_hat
+        assert [h for h, _ in fit.cv_curve] == hs
+        for (_, got), want in zip(fit.cv_curve, cvs):
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
+        assert fit.fitted.tobytes() == priestley_chao_fit(y, h_hat).tobytes()
+        assert fit.residuals.tobytes() == (y - fit.fitted).tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=6),
+           b=st.integers(16, 600), seed=st.integers(0, 2**32 - 1))
+    def test_adversarial_blocks_never_raise(self, kinds, b, seed):
+        series = TimeSeries(np.concatenate([make_block(kind, b, seed + i)
+                                            for i, kind in enumerate(kinds)]), 1000.0)
+        starts = np.arange(len(kinds)) * b + 1
+        dist = estimate_blocks(series, starts, SubsampleConfig(b=b, k_blocks=len(kinds)))
+        assert dist.kept.size == len(kinds)
+        assert np.all(np.isfinite(dist.snr_db[dist.kept]))
+        assert not any(dist.kept[i] for i, kind in enumerate(kinds) if kind in ("zero", "constant"))
+
+    @pytest.mark.parametrize("kind", ["white", "ar1", "powerlaw"])
+    @pytest.mark.parametrize("n", [16, 441, 4410])
+    def test_noisy_block_refits_only_the_winner(self, direct_calls, kind, n):
+        fit = select_bandwidth(make_block(kind, n, 11))
+        assert direct_calls == [fit.h_hat]
+
+    def test_wrong_fft_values_fall_back_to_the_direct_rule(self, monkeypatch):
+        original = smoother._fft_cv
+
+        def reversed_cv(y, plan):  # the FFT minimum lands on another candidate
+            cv, mse, factor = original(y, plan)
+            return cv[::-1].copy(), mse, factor
+
+        monkeypatch.setattr(smoother, "_fft_cv", reversed_cv)
+        y = make_block("ar1", 441, 4)
+        fit = select_bandwidth(y)
+        hs, cvs, h_hat = direct_selection(y)
+        assert fit.h_hat == h_hat
+        assert [cv for _, cv in fit.cv_curve] == cvs
+
+    @pytest.mark.parametrize("value", [2.0, -0.5, 3.1])
+    @pytest.mark.parametrize("n", [64, 441, 2205])
+    def test_constant_block_takes_the_tie_fallback(self, direct_calls, n, value):
+        y = np.full(n, value)
+        fit = select_bandwidth(y)
+        assert len(direct_calls) > 1  # more than the winner's refit
+        hs, cvs, h_hat = direct_selection(y)
+        assert fit.h_hat == h_hat
+        assert [cv for _, cv in fit.cv_curve] == cvs
+        if value in (2.0, -0.5):  # every direct CV is exactly 0: the smallest h wins
+            assert h_hat == min(h for h, cv in zip(hs, cvs) if math.isfinite(cv))
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "impulse"])
+    def test_degenerate_blocks_warn_nothing(self, kind):
+        y = make_block(kind, 441, 3)
+        series = TimeSeries(np.concatenate([y, y]), 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            select_bandwidth(y)
+            estimate_blocks(series, [1, 442], SubsampleConfig(b=441, k_blocks=2))
+
+    def test_plan_is_one_entry_and_batches_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(smoother, "CV_BATCH_SAMPLES", 1)  # one candidate per batch
+        y = make_block("ar1", 700, 5)
+        fit = select_bandwidth(y)
+        assert fit.h_hat == direct_selection(y)[2]
+        select_bandwidth(make_block("white", 300, 5))
+        assert smoother._cv_plan.cache_info().currsize == 1
+
+    def test_smooth_lengths(self):
+        assert [smoother._smooth_length(t) for t in (1, 7, 17, 31, 5234, 5401)] == [
+            1, 8, 18, 32, 5400, 5625]
 
 
 class TestMiseProbe:
