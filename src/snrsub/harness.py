@@ -34,6 +34,7 @@ from .subsample import (
     SubsampleConfig,
     default_b1,
     estimate_blocks,
+    call,
     estimate_snr_distribution,
     parallel_map,
 )
@@ -213,10 +214,6 @@ def _oracle(spec: ExperimentSpec, b: int, oracle_replicas: int) -> dict[float, f
                             spec.fs_hz, spec.duration_s, spec.noise_variance)
 
 
-def _call(fn, args: tuple):
-    return fn(*args)
-
-
 def _run_replicas(spec: ExperimentSpec, workers: int,
                   oracle_replicas: int = 0) -> tuple[list[tuple], dict[int, dict]]:
     """(``_replica`` for every replica, listed by replica number, ``_oracle``
@@ -229,7 +226,7 @@ def _run_replicas(spec: ExperimentSpec, workers: int,
     oracle_b = spec.block_lengths if oracle_replicas >= 1 else ()
     jobs = [(_oracle, (spec, b, oracle_replicas)) for b in oracle_b]
     jobs += [(_replica, (spec, r)) for r in range(spec.replicas)]
-    out = parallel_map(_call, jobs, workers)
+    out = parallel_map(call, jobs, workers)
     return out[len(oracle_b):], dict(zip(oracle_b, out))
 
 

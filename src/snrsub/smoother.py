@@ -192,7 +192,8 @@ def _lag_cutoff(n: int, h: float) -> int:
     return min(max(1, int(math.floor(math.sqrt(n * h)))), n // 4)
 
 
-# rows x padded length of one batch of candidate fits, bounds the engine's memory
+# rows x padded length of one batch of candidate fits; bounds the transient
+# arrays of a batch, not the cached plan, which holds every row
 CV_BATCH_SAMPLES = 1 << 18
 # FFT CV values within this share of (min CV + mean(y**2)) of the minimum, and
 # correction factors within CV_GUARD_BAND of CORRECTION_FLOOR, are decided by
@@ -299,13 +300,12 @@ def _fft_cv(y: np.ndarray, plan: _CvPlan):
     batch = max(1, CV_BATCH_SAMPLES // plan.length)
     for lo in range(0, rows, batch):
         sl = slice(lo, min(lo + batch, rows))
-        spec = plan.spectra[sl] * spec_y
-        e = np.fft.irfft(spec, plan.length, axis=1)[:, :n]
+        e = np.fft.irfft(plan.spectra[sl] * spec_y, plan.length, axis=1)[:, :n]
         e /= plan.den[sl]
         np.subtract(y, e, out=e)
         energy = np.einsum("ij,ij->i", e, e)
         mse[sl] = energy / n
-        parts = np.fft.rfft(e, plan.length, axis=1, out=spec).view(np.float64)
+        parts = np.fft.rfft(e, plan.length, axis=1).view(np.float64)
         np.square(parts, out=parts)  # (re**2, im**2) per bin: the power spectrum in two halves
         lagged = (np.einsum("ij,ij->i", parts[:, 0::2], plan.lag_spectra[sl])
                   + np.einsum("ij,ij->i", parts[:, 1::2], plan.lag_spectra[sl]))
@@ -333,8 +333,9 @@ def select_bandwidth(
     could be the minimum (within the tie band of it, or at the guard) and
     those whose residual energy is too small for the FFT's rounding are
     evaluated again with the direct fit, and the first minimum among them
-    wins.  The selected h, its fit and its residuals are therefore those of
-    the direct per-candidate rule.
+    wins; a constant block is evaluated directly throughout.  The selected
+    h, its fit and its residuals are therefore those of the direct
+    per-candidate rule.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
@@ -343,31 +344,45 @@ def select_bandwidth(
     if grid is None:
         grid = BandwidthGrid()
     plan = _cv_plan(n, grid, regime)
-    hs = plan.hs
-    cv, mse, factor = _fft_cv(y, plan)
-    curve = [math.inf] * len(hs)
-    for i, c in zip(plan.index.tolist(), cv.tolist()):
-        curve[i] = c
-    finite = np.isfinite(cv)
-    trusted = False
-    if finite.any():
-        lowest = int(np.argmin(np.where(finite, cv, math.inf)))
-        cv_min = float(cv[lowest])
-        mean_sq = float(y @ y) / n
-        tol = CV_TIE_BAND * (cv_min + mean_sq)
-        direct = ((finite & (cv <= cv_min + tol)) | (mse <= CV_RESIDUAL_FLOOR * mean_sq)
-                  | (np.abs(factor - CORRECTION_FLOOR) <= CV_GUARD_BAND))
-        best = _first_minimum(y, hs, plan.index[direct].tolist(), curve)
-        # the FFT minimum itself was refitted; off by more than the band, the
-        # FFT values cannot rank this block and every candidate goes direct
-        trusted = abs(curve[plan.index[lowest]] - cv_min) <= tol
-    if not trusted:
-        best = _first_minimum(y, hs, range(len(hs)), curve)
+    curve = [math.inf] * len(plan.hs)
+    best = None
+    # a constant block's direct CVs are rounding residue that the FFT values
+    # cannot rank, so it goes straight to the direct rule
+    if y.min() < y.max():
+        best = _fft_guided_minimum(y, plan, curve)
+    if best is None:
+        best = _first_minimum(y, plan.hs, range(len(plan.hs)), curve)
     if best is None:
         raise ValueError("correction factor degenerate across grid")
     _, h_hat, fitted, e, M = best
     return KernelFit(fitted=fitted, residuals=e, h_hat=h_hat,
-                     cv_curve=tuple(zip(hs, curve)), m_lags=M)
+                     cv_curve=tuple(zip(plan.hs, curve)), m_lags=M)
+
+
+def _fft_guided_minimum(y: np.ndarray, plan: _CvPlan, curve: list):
+    """``_first_minimum`` over the candidates the FFT values cannot rule out.
+
+    Writes every FFT CV value into ``curve``, then the direct value of each
+    candidate evaluated again.  Returns None when the FFT values cannot rank
+    this block: none is finite, or the FFT minimum's direct value lies
+    outside the tie band.
+    """
+    cv, mse, factor = _fft_cv(y, plan)
+    for i, c in zip(plan.index.tolist(), cv.tolist()):
+        curve[i] = c
+    finite = np.isfinite(cv)
+    if not finite.any():
+        return None
+    lowest = int(np.argmin(np.where(finite, cv, math.inf)))
+    cv_min = float(cv[lowest])
+    mean_sq = float(y @ y) / y.size
+    tol = CV_TIE_BAND * (cv_min + mean_sq)
+    direct = ((finite & (cv <= cv_min + tol)) | (mse <= CV_RESIDUAL_FLOOR * mean_sq)
+              | (np.abs(factor - CORRECTION_FLOOR) <= CV_GUARD_BAND))
+    best = _first_minimum(y, plan.hs, plan.index[direct].tolist(), curve)
+    if abs(curve[plan.index[lowest]] - cv_min) > tol:
+        return None
+    return best
 
 
 def _first_minimum(y: np.ndarray, hs, candidates, curve: list):

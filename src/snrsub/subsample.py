@@ -220,19 +220,25 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
     return power, variance, (snr if math.isfinite(snr) else math.nan), h
 
 
+def call(fn, args: tuple):
+    """fn(*args): one call of ``parallel_map``, in whichever process runs it."""
+    return fn(*args)
+
+
 def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
     """[fn(*args) for args in arg_tuples], over ``workers`` processes if > 1.
 
     Results come back in input order, so they never depend on the worker
     count; ``fn`` and its arguments must be picklable.  No more processes
-    start than there are calls.
+    start than there are calls.  Each tuple is passed whole, so tuples of
+    different lengths work as they do serially.
     """
     workers = min(workers, len(arg_tuples))
     if workers <= 1:
-        return [fn(*args) for args in arg_tuples]
+        return [call(fn, args) for args in arg_tuples]
     chunk = max(1, len(arg_tuples) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*arg_tuples), chunksize=chunk))
+        return list(pool.map(call, [fn] * len(arg_tuples), arg_tuples, chunksize=chunk))
 
 
 def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> SubsampleEstimate:

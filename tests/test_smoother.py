@@ -367,17 +367,28 @@ class TestBatchedCv:
         assert fit.h_hat == h_hat
         assert [cv for _, cv in fit.cv_curve] == cvs
 
-    @pytest.mark.parametrize("value", [2.0, -0.5, 3.1])
+    @pytest.mark.parametrize("value", [0.0, 2.0, -0.5, 3.1])
     @pytest.mark.parametrize("n", [64, 441, 2205])
-    def test_constant_block_takes_the_tie_fallback(self, direct_calls, n, value):
+    def test_constant_block_takes_the_direct_rule(self, monkeypatch, direct_calls, n, value):
+        monkeypatch.setattr(smoother, "_fft_cv", None)  # never reached
         y = np.full(n, value)
+        fit = select_bandwidth(y)
+        assert len(direct_calls) == len(fit.cv_curve)
+        hs, cvs, h_hat = direct_selection(y)
+        assert fit.h_hat == h_hat
+        assert [cv for _, cv in fit.cv_curve] == cvs
+        if value in (0.0, 2.0, -0.5):  # every direct CV is exactly 0: the smallest h wins
+            assert h_hat == min(h for h, cv in zip(hs, cvs) if math.isfinite(cv))
+
+    @pytest.mark.parametrize("n", [64, 441, 2205])
+    def test_near_constant_block_takes_the_tie_fallback(self, direct_calls, n):
+        y = np.full(n, 3.1)
+        y[n // 3] = np.nextafter(3.1, 4.0)
         fit = select_bandwidth(y)
         assert len(direct_calls) > 1  # more than the winner's refit
         hs, cvs, h_hat = direct_selection(y)
         assert fit.h_hat == h_hat
         assert [cv for _, cv in fit.cv_curve] == cvs
-        if value in (2.0, -0.5):  # every direct CV is exactly 0: the smallest h wins
-            assert h_hat == min(h for h, cv in zip(hs, cvs) if math.isfinite(cv))
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "impulse"])
     def test_degenerate_blocks_warn_nothing(self, kind):

@@ -15,6 +15,7 @@ from snrsub.subsample import (
     default_b1,
     draw_blocks,
     estimate_snr_distribution,
+    parallel_map,
     select_block_size,
 )
 
@@ -222,6 +223,13 @@ class TestScaleInvariance:
                              SubsampleConfig(b=64, k_blocks=1, seed=0))
         assert est.skipped
         assert math.isnan(est.snr_db)
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tuples_of_different_lengths_are_passed_whole(self, workers):
+        # a transposed pool.map would cut (2, 10, 1000) to pow(2, 10)
+        assert parallel_map(pow, [(2, 10), (2, 10, 1000), (3, 4)], workers) == [1024, 24, 81]
 
 
 class TestConfidenceInterval:
