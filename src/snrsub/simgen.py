@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 AR1_BURN_IN = 1000
-AR1_LOOP_MAX = 1 << 18  # longest AR(1) input filtered in Python rather than by lfilter
 SIGNAL_FREQ_HZ = 50.0
 
 
@@ -180,6 +179,8 @@ def gen_ar1(phi: float, target_variance: float, n: int, seed) -> np.ndarray:
 
     The innovation sd is sqrt(target_variance * (1 - phi**2)); a 1000-sample
     burn-in is generated and discarded to wash out the zero initial state.
+    x_t = u_t + phi * x_{t-1} runs as ``_ar1_scan``, bit-identical to
+    ``scipy.signal.lfilter([1], [1, -phi], u)``.
     """
     if not abs(phi) < 1:
         raise ValueError(f"|phi| must be < 1, got {phi}")
@@ -187,13 +188,58 @@ def gen_ar1(phi: float, target_variance: float, n: int, seed) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = _as_rng(seed)
     sd = math.sqrt(target_variance * (1.0 - phi * phi))
-    u = rng.normal(0.0, sd, size=n + AR1_BURN_IN)
-    if u.size > AR1_LOOP_MAX:
-        from scipy.signal import lfilter  # about 1 s to import, so long inputs only
-        return lfilter([1.0], [1.0, -phi], u)[AR1_BURN_IN:]
-    # x_t = u_t + phi * x_{t-1} with lfilter's two roundings per step: bit-identical to it
-    y = 0.0
-    return np.array([(y := v + phi * y) for v in u.tolist()])[AR1_BURN_IN:]
+    return _ar1_scan(rng.normal(0.0, sd, size=n + AR1_BURN_IN), phi)[AR1_BURN_IN:]
+
+
+def _ar1_steps(x: np.ndarray, phi: float) -> None:
+    """x[t] += phi * x[t-1] along axis 0, in place, from a zero state; each
+    step rounds the product and then the sum, as lfilter does."""
+    y = np.zeros(x.shape[1:])
+    for xt in x:
+        xt += phi * y
+        y = xt
+
+
+def _ar1_warmup(phi: float) -> int:
+    """Warm-up steps after which a chunk has forgotten its zero start:
+    |phi|**steps < 2**-80."""
+    return 1 if phi == 0 else math.ceil(-80.0 / math.log2(abs(phi)))
+
+
+def _ar1_chunk_length(size: int, warmup: int) -> int:
+    """2*sqrt(size) balances the loop's steps against the chunks per step; at
+    least the warm-up, so the warm-up at most doubles the work."""
+    return max(2 * math.isqrt(size), warmup)
+
+
+def _ar1_scan(u: np.ndarray, phi: float) -> np.ndarray:
+    """The AR(1) recursion of ``u``, in place, bit-identical to the sequential one.
+
+    Row c of the chunk matrix holds u[c*length - warmup:(c + 1)*length], zero
+    before u starts, and runs from a zero state; all rows step together in
+    one ``_ar1_steps`` loop over the time-major view.  Row 0 starts at the
+    true zero state and the recursion is deterministic, so when every row
+    equals its predecessor at its last warm-up step, every row is exact;
+    otherwise the warm-up doubles and the scan reruns.  One chunk is the
+    sequential recursion itself.
+    """
+    warmup = _ar1_warmup(phi)
+    while True:
+        length = _ar1_chunk_length(u.size, warmup)
+        if length >= u.size:
+            _ar1_steps(u[:, None], phi)
+            return u
+        m = np.zeros((-(-u.size // length), warmup + length))
+        for c, row in enumerate(m):
+            seg = u[max(c * length - warmup, 0):(c + 1) * length]
+            row[max(warmup - c * length, 0):][:seg.size] = seg
+        _ar1_steps(m.T, phi)
+        if np.array_equal(m[1:, warmup - 1], m[:-1, -1], equal_nan=True):
+            for c, row in enumerate(m):
+                out = u[c * length:(c + 1) * length]
+                out[:] = row[warmup:warmup + out.size]
+            return u
+        warmup *= 2
 
 
 def gen_powerlaw(beta: float, target_variance: float, n: int, seed) -> np.ndarray:
@@ -244,18 +290,14 @@ def _ar1_rows(phi: float, target_variance: float, rows: int, n: int,
               rng: np.random.Generator) -> np.ndarray:
     """``rows`` consecutive ``gen_ar1`` series from one generator, bit for bit.
 
-    The burn-in recursion steps all rows at once with the same two roundings
-    per step as the one-row recursion; it loops over the n + AR1_BURN_IN time
-    steps, so it pays off only across many rows.
+    One ``_ar1_steps`` loop over the n + AR1_BURN_IN time steps runs every
+    row, as a column of a time-major copy.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sd = math.sqrt(target_variance * (1.0 - phi * phi))
     u = rng.normal(0.0, sd, size=(rows, n + AR1_BURN_IN)).T.copy()  # time-major
-    y = np.zeros(rows)
-    for ut in u:
-        ut += phi * y
-        y = ut
+    _ar1_steps(u, phi)
     return np.ascontiguousarray(u[AR1_BURN_IN:].T)
 
 

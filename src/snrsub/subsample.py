@@ -10,6 +10,7 @@ governed by the block length rather than the sample size.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -225,6 +226,24 @@ def call(fn, args: tuple):
     return fn(*args)
 
 
+_POOLS: dict[int, ProcessPoolExecutor] = {}  # worker count -> pool of an open ``_shared_pool``
+
+
+@contextlib.contextmanager
+def _shared_pool(workers: int):
+    """Within the block, every ``parallel_map`` over ``workers`` processes runs
+    on one pool, started here unless an enclosing block already has one."""
+    if workers <= 1 or workers in _POOLS:
+        yield
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _POOLS[workers] = pool
+        try:
+            yield
+        finally:
+            del _POOLS[workers]
+
+
 def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
     """[fn(*args) for args in arg_tuples], over ``workers`` processes if > 1.
 
@@ -237,7 +256,8 @@ def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
     if workers <= 1:
         return [call(fn, args) for args in arg_tuples]
     chunk = max(1, len(arg_tuples) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _shared_pool(workers):
+        pool = _POOLS[workers]
         return list(pool.map(call, [fn] * len(arg_tuples), arg_tuples, chunksize=chunk))
 
 
@@ -315,7 +335,8 @@ def select_block_size(series: TimeSeries, candidates, cfg_template: SubsampleCon
                       levels: tuple[float, float] = (0.05, 0.95)) -> BlockSizeSelection:
     """Pick the block length where the target quantiles are most stable.
 
-    Runs the subsample estimation at every candidate b, computes the two
+    Runs the subsample estimation at every candidate b, on one process pool
+    (``_shared_pool``) when ``cfg_template.workers`` > 1, computes the two
     target quantiles, and scores each interior candidate by the summed
     standard deviation of each quantile over the three-candidate window
     centered there.  Returns the interior candidate with minimal volatility,
@@ -332,11 +353,12 @@ def select_block_size(series: TimeSeries, candidates, cfg_template: SubsampleCon
         raise ValueError("largest candidate infeasible for this series")
 
     q_low, q_high = [], []
-    for b in cand:
-        cfg = replace(cfg_template, b=b, seed=derive_seed(cfg_template.seed, b), b1=None)
-        dist = estimate_snr_distribution(series, cfg)
-        q_low.append(dist.quantile(levels[0]))
-        q_high.append(dist.quantile(levels[1]))
+    with _shared_pool(cfg_template.workers):
+        for b in cand:
+            cfg = replace(cfg_template, b=b, seed=derive_seed(cfg_template.seed, b), b1=None)
+            dist = estimate_snr_distribution(series, cfg)
+            q_low.append(dist.quantile(levels[0]))
+            q_high.append(dist.quantile(levels[1]))
 
     vol = [math.nan] * len(cand)
     for j in range(1, len(cand) - 1):

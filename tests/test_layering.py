@@ -47,3 +47,21 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     code = "import sys, snrsub.cli; sys.exit('scipy.signal' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr or "scipy.signal was imported"
+
+
+def test_no_module_imports_scipy():
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+def test_simulating_ar_noise_leaves_scipy_unloaded(tmp_path):
+    # 10 s at 44.1 kHz: 441 000 samples of AR(1) noise, long enough for many scan chunks
+    argv = ["simulate", "--design", "ar", "--duration", "10", "--out", str(tmp_path / "ar.f64")]
+    code = ("import sys; from snrsub.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(code or 'scipy' in {m.split('.')[0] for m in sys.modules})")
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr or "scipy was imported"
+    assert (tmp_path / "ar.f64").stat().st_size == 441_000 * 8

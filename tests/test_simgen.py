@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from snrsub import simgen
 from snrsub.core import signal_power, snr_db
 from snrsub.simgen import (
     AR1_BURN_IN,
@@ -70,6 +71,37 @@ class TestGenSine:
         assert SignalSpec(1.0, 50.0, 44100.0, 30.0).n == 1_323_000
 
 
+def lfilter_ar1(phi, variance, n, seed):
+    """gen_ar1's series as scipy.signal.lfilter computes it from the same innovations."""
+    from scipy.signal import lfilter
+
+    u = derive_rng(seed).normal(0.0, math.sqrt(variance * (1.0 - phi * phi)), size=n + AR1_BURN_IN)
+    return lfilter([1.0], [1.0, -phi], u)[AR1_BURN_IN:]
+
+
+def chunk_edges(phi):
+    """Lengths n around two changes of the scan's chunk count, the first
+    from the burn-in on and the first from 300 000 samples on (burn-in
+    included): the last n before each change, the first after, the next."""
+    warmup = simgen._ar1_warmup(phi)
+
+    def chunks(size):
+        return -(-size // simgen._ar1_chunk_length(size, warmup))
+
+    edges = []
+    for size in (AR1_BURN_IN + 1, 300_000):
+        while chunks(size + 1) == chunks(size):
+            size += 1
+        edges += [size - AR1_BURN_IN, size + 1 - AR1_BURN_IN, size + 2 - AR1_BURN_IN]
+    return edges
+
+
+AR1_CASES = [(-0.7, 64), (-0.999, 5000)] + [
+    (phi, n) for phi in (-0.9999, -0.999, -0.7, 0.0, 0.5, 0.99, 0.9999)
+    for n in sorted({1, 16, 1011, 300_000, *chunk_edges(phi)})
+]
+
+
 class TestGenAr1:
     def test_phi_zero_is_white(self):
         x = gen_ar1(0.0, 1.0, 10**5, 11)
@@ -98,13 +130,26 @@ class TestGenAr1:
         b = gen_ar1(-0.7, 2.0, 500, 99)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("phi,n", [(-0.7, 64), (0.5, 1011), (-0.999, 5000), (0.0, 16)])
+    @pytest.mark.parametrize("phi,n", AR1_CASES)
     def test_python_recursion_is_bit_identical_to_lfilter(self, phi, n):
-        from scipy.signal import lfilter
+        assert gen_ar1(phi, 2.0, n, derive_rng(4)).tobytes() == lfilter_ar1(phi, 2.0, n, 4).tobytes()
 
-        u = derive_rng(4).normal(0.0, math.sqrt(2.0 * (1.0 - phi * phi)), size=n + AR1_BURN_IN)
-        want = lfilter([1.0], [1.0, -phi], u)[AR1_BURN_IN:]
-        assert gen_ar1(phi, 2.0, n, derive_rng(4)).tobytes() == want.tobytes()
+    def test_design_length_is_bit_identical_to_lfilter(self):
+        n = 4_410_000  # a 100 s recording at 44.1 kHz
+        assert gen_ar1(-0.7, 1.0, n, derive_rng(5)).tobytes() == lfilter_ar1(-0.7, 1.0, n, 5).tobytes()
+
+    def test_scan_doubles_a_warmup_too_short_to_coalesce(self, monkeypatch):
+        shapes, steps = [], simgen._ar1_steps
+
+        def spy(x, phi):
+            shapes.append(x.shape)
+            steps(x, phi)
+
+        monkeypatch.setattr(simgen, "_ar1_warmup", lambda phi: 1)
+        monkeypatch.setattr(simgen, "_ar1_steps", spy)
+        got = gen_ar1(-0.7, 2.0, 300_000, derive_rng(4))
+        assert len(shapes) > 1 and shapes[1][0] == shapes[0][0] + 1  # warm-up 1, then 2, ...
+        assert got.tobytes() == lfilter_ar1(-0.7, 2.0, 300_000, 4).tobytes()
 
     def test_invalid_phi(self):
         with pytest.raises(ValueError):

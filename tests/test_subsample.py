@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snrsub.core import TimeSeries
-from snrsub.simgen import gen_design
+from snrsub.simgen import derive_seed, gen_design
 from snrsub.subsample import (
     ExcessiveSkipsError,
     SubsampleConfig,
@@ -293,6 +294,45 @@ class TestSelectBlockSize:
         sel = select_block_size(ts, cand, SubsampleConfig(b=100, k_blocks=48, seed=5))
         assert sel.chosen_b in cand[1:-1]
         assert len(sel.q_low) == len(cand) == len(sel.q_high)
+
+    def test_one_pool_for_all_candidates(self, monkeypatch):
+        import snrsub.subsample as sub
+
+        started = []
+
+        class CountingPool(sub.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        ts = ar_series(duration=0.3, seed=8)
+        cand = [int(round(ms * 44.1)) for ms in (4, 8, 12, 16, 20)]
+        cfg = SubsampleConfig(b=100, k_blocks=24, seed=5)
+        want = select_block_size(ts, cand, cfg)
+        monkeypatch.setattr(sub, "ProcessPoolExecutor", CountingPool)
+        assert select_block_size(ts, cand, replace(cfg, workers=2)) == want
+        assert started == [2] and not sub._POOLS
+
+    def test_first_candidate_over_the_skip_budget_raises(self):
+        import snrsub.subsample as sub
+
+        samples = ar_series(duration=0.3, seed=8).samples.copy()
+        samples[:9000] = 1.0  # blocks inside the constant stretch are skipped
+        ts = TimeSeries(samples, 44100.0)
+        cand = [64, 128, 256, 512, 1024]
+        cfg = SubsampleConfig(b=64, k_blocks=40, seed=2)
+        over = []
+        for b in cand:
+            try:
+                estimate_snr_distribution(ts, replace(cfg, b=b, seed=derive_seed(cfg.seed, b)))
+            except ExcessiveSkipsError as e:
+                over.append((e.skipped, e.total))
+        assert len(set(over)) >= 2  # candidates over budget, told apart by their counts
+        for workers in (1, 2):
+            with pytest.raises(ExcessiveSkipsError) as exc:
+                select_block_size(ts, cand, replace(cfg, workers=workers))
+            assert (exc.value.skipped, exc.value.total) == over[0]
+        assert not sub._POOLS
 
     def test_grid_validation(self):
         ts = ar_series(duration=0.1)
