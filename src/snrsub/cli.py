@@ -35,6 +35,7 @@ from .simgen import (
     gen_design,
     gen_sine,
 )
+from .smoother import MIN_BLOCK_SAMPLES
 from .subsample import (
     ExcessiveSkipsError,
     SubsampleConfig,
@@ -105,11 +106,11 @@ def _read_wav16(desc: InputDescriptor) -> TimeSeries:
     if not (0 <= desc.channel < nch):
         raise ValueError(f"wav: channel {desc.channel} out of range for {nch} channels")
     samples = data[:, desc.channel].astype(np.float64) / 32768.0
-    return TimeSeries(samples, desc.sample_rate_hz or fs)
+    return TimeSeries(samples, fs if desc.sample_rate_hz is None else desc.sample_rate_hz)
 
 
 def _read_csv(desc: InputDescriptor) -> TimeSeries:
-    if not desc.sample_rate_hz:
+    if desc.sample_rate_hz is None:
         raise ValueError("csv input requires an explicit sample rate (--fs)")
     values = []
     with open(desc.path, newline="") as f:
@@ -132,7 +133,7 @@ def _read_csv(desc: InputDescriptor) -> TimeSeries:
 
 
 def _read_raw(desc: InputDescriptor) -> TimeSeries:
-    if not desc.sample_rate_hz:
+    if desc.sample_rate_hz is None:
         raise ValueError("raw input requires an explicit sample rate (--fs)")
     size = os.path.getsize(desc.path)
     if size % 8:
@@ -237,8 +238,6 @@ def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
     desc = _input_descriptor(args)
     try:
         return read_input(desc), desc
-    except FileNotFoundError as e:
-        raise CliError("io-error", str(e)) from e
     except ValueError as e:
         raise CliError("bad-input", str(e)) from e
 
@@ -246,7 +245,7 @@ def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
 # ---------------------------------------------------------------- commands
 
 def cmd_simulate(args) -> int:
-    fs = args.fs if args.fs else 44100.0
+    fs = args.fs
     if not SIGNAL_FREQ_HZ < fs / 2 and args.design != "noise-only":
         raise CliError("nyquist", f"{SIGNAL_FREQ_HZ:g} Hz signal violates Nyquist at rate {fs} Hz")
     seed = args.seed
@@ -268,29 +267,25 @@ def cmd_simulate(args) -> int:
             "out": args.out,
         },
     }
-    try:
-        if design in DESIGNS:
-            series = gen_design(design, args.snr, fs, args.duration, seed, noise_var)
-            amp = calibrate_amplitude(args.snr, noise_var)
-            derived = {"amplitude": amp, "signal_power": amp * amp / 2.0,
-                       "noise": design_noise(design, noise_var).describe(),
-                       "true_snr_db": args.snr}
-        elif design == "sine-only":
-            spec = SignalSpec(args.amplitude, SIGNAL_FREQ_HZ, fs, args.duration)
-            series = gen_sine(spec)
-            derived = {"amplitude": args.amplitude,
-                       "signal_power": args.amplitude ** 2 / 2.0,
-                       "noise": None, "true_snr_db": None}
-        else:  # noise-only; argparse admits no other design
-            noise = (NoiseSpec.white(noise_var) if args.noise == "white"
-                     else design_noise(args.noise, noise_var))
-            n = int(round(args.duration * fs))
-            series = TimeSeries(noise.sample(n, derive_rng(seed)), fs)
-            derived = {"amplitude": 0.0, "signal_power": 0.0,
-                       "noise": noise.describe(), "true_snr_db": None}
-    except ValueError as e:
-        code = "nyquist" if "Nyquist" in str(e) else "invalid-config"
-        raise CliError(code, str(e)) from e
+    if design in DESIGNS:
+        series = gen_design(design, args.snr, fs, args.duration, seed, noise_var)
+        amp = calibrate_amplitude(args.snr, noise_var)
+        derived = {"amplitude": amp, "signal_power": amp * amp / 2.0,
+                   "noise": design_noise(design, noise_var).describe(),
+                   "true_snr_db": args.snr}
+    elif design == "sine-only":
+        spec = SignalSpec(args.amplitude, SIGNAL_FREQ_HZ, fs, args.duration)
+        series = gen_sine(spec)
+        derived = {"amplitude": args.amplitude,
+                   "signal_power": args.amplitude ** 2 / 2.0,
+                   "noise": None, "true_snr_db": None}
+    else:  # noise-only; argparse admits no other design
+        noise = (NoiseSpec.white(noise_var) if args.noise == "white"
+                 else design_noise(args.noise, noise_var))
+        n = int(round(args.duration * fs))
+        series = TimeSeries(noise.sample(n, derive_rng(seed)), fs)
+        derived = {"amplitude": 0.0, "signal_power": 0.0,
+                   "noise": noise.describe(), "true_snr_db": None}
 
     try:
         if args.format == "wav16":
@@ -325,11 +320,8 @@ def cmd_estimate(args) -> int:
         raise CliError("invalid-config", f"block length {b} exceeds series length {n}")
     if args.k > n - b + 1:
         raise CliError("k-too-large", f"k={args.k} exceeds the {n - b + 1} admissible starts")
-    try:
-        cfg = SubsampleConfig(b=b, k_blocks=args.k, seed=args.seed, b1=args.b1,
-                              workers=threads, shared_bandwidth=args.shared_bandwidth)
-    except ValueError as e:
-        raise CliError("invalid-config", str(e)) from e
+    cfg = SubsampleConfig(b=b, k_blocks=args.k, seed=args.seed, b1=args.b1,
+                          workers=threads, shared_bandwidth=args.shared_bandwidth)
 
     t0 = time.perf_counter()
     dist = estimate_snr_distribution(series, cfg)
@@ -371,8 +363,7 @@ def cmd_estimate(args) -> int:
     _emit(_dump_json(report), args.out)
     if args.snr_csv:
         lines = ["snr_db"] + [repr(float(v)) for v in dist.snr_values]
-        with open(args.snr_csv, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", args.snr_csv)
     return 0
 
 
@@ -383,15 +374,12 @@ def cmd_select_block(args) -> int:
     to_samples = {"ms": fs / 1000.0, "s": fs, "samples": 1.0}[args.grid_unit]
     raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     cand = sorted({int(round(v * to_samples)) for v in raw})
-    cand = [b for b in cand if 16 <= b <= series.n and args.k <= series.n - b + 1]
+    cand = [b for b in cand if MIN_BLOCK_SAMPLES <= b <= series.n and args.k <= series.n - b + 1]
     if len(cand) < 5:
         raise CliError("grid-infeasible",
                        f"grid reduces to {len(cand)} feasible candidates; need at least 5")
     cfg = SubsampleConfig(b=cand[0], k_blocks=args.k, seed=args.seed, workers=threads)
-    try:
-        sel = select_block_size(series, cand, cfg)
-    except ValueError as e:
-        raise CliError("grid-infeasible", str(e)) from e
+    sel = select_block_size(series, cand, cfg)
 
     table = [
         {
@@ -431,8 +419,7 @@ def cmd_select_block(args) -> int:
         for row in table:
             vol = "" if row["volatility"] is None else repr(row["volatility"])
             lines.append(f'{row["b"]},{row["b_ms"]!r},{row["q_low"]!r},{row["q_high"]!r},{vol}')
-        with open(args.table_csv, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", args.table_csv)
     return 0
 
 
@@ -446,20 +433,17 @@ def cmd_mc(args) -> int:
         replicas, duration, k, oracle_replicas = 3, 0.5, 48, 500
     levels = _parse_levels(args.levels, "--levels")
     blocks = tuple(int(round(float(ms) * args.fs / 1000.0)) for ms in args.b_ms.split(","))
-    try:
-        spec = ExperimentSpec(
-            design=args.design,
-            true_snr_db=args.snr,
-            fs_hz=args.fs,
-            duration_s=duration,
-            block_lengths=blocks,
-            k_blocks=k,
-            replicas=replicas,
-            seed=args.seed,
-            levels=levels,
-        )
-    except ValueError as e:
-        raise CliError("invalid-config", str(e)) from e
+    spec = ExperimentSpec(
+        design=args.design,
+        true_snr_db=args.snr,
+        fs_hz=args.fs,
+        duration_s=duration,
+        block_lengths=blocks,
+        k_blocks=k,
+        replicas=replicas,
+        seed=args.seed,
+        levels=levels,
+    )
 
     metrics = ("mse", "qmae") if args.metric == "both" else (args.metric,)
     reports = mc_reports(spec, metrics, oracle_replicas=oracle_replicas, workers=threads)
@@ -489,8 +473,7 @@ def cmd_mc(args) -> int:
         for name in sorted(reports):
             body = reports[name].to_csv()
             chunks.append(body if not chunks else "".join(body.splitlines(True)[1:]))
-        with open(args.csv, "w") as f:
-            f.writelines(chunks)
+        _emit("".join(chunks), args.csv)
     return 0
 
 
@@ -502,10 +485,7 @@ def cmd_bandwidth(args) -> int:
         raise CliError("invalid-config",
                        f"block [{start}, {start + b - 1}] outside series of length {series.n}")
     block = series.samples[start - 1:start - 1 + b]
-    try:
-        fit, exponent = select_bandwidth_scaled(block)
-    except ValueError as e:
-        raise CliError("invalid-config", str(e)) from e
+    fit, exponent = select_bandwidth_scaled(block)
     hs, cvs = zip(*fit.cv_curve)
     with np.errstate(over="ignore"):  # a CV value past the float range reads inf
         cvs = np.ldexp(cvs, 2 * exponent).tolist()
@@ -531,6 +511,13 @@ def _add_block_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block-ms", type=float, help="block length in milliseconds")
     p.add_argument("--block-samples", type=int, help="block length in samples")
     p.add_argument("--block-s", type=float, help="block length in seconds")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=200, help="number of blocks")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker processes (default: ${THREADS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,13 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate the subsample SNR distribution")
     _add_input_flags(p)
     _add_block_flags(p)
+    _add_run_flags(p)
     p.add_argument("--b1", type=int, help="secondary window (default: floor(b**0.4))")
-    p.add_argument("--k", type=int, default=200, help="number of blocks")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--levels", default=DEFAULT_LEVELS, help="quantile levels, comma-separated")
     p.add_argument("--ci", default=DEFAULT_CI, help="confidence levels, comma-separated")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes (default: ${THREADS_ENV} or 1)")
     p.add_argument("--shared-bandwidth", action="store_true",
                    help="cross-validate once on the first block (approximation)")
     p.add_argument("--timings", action="store_true", help="include wall-clock in the report")
@@ -579,9 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", type=float, default=20.0)
     p.add_argument("--grid-steps", type=int, default=10)
     p.add_argument("--grid-unit", choices=["ms", "s", "samples"], default="ms")
-    p.add_argument("--k", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    _add_run_flags(p)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--table-csv", help="write candidate quantile/volatility table as CSV")
     p.set_defaults(func=cmd_select_block)
@@ -593,14 +575,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", type=float, default=44100.0)
     p.add_argument("--duration", type=float, default=3.0)
     p.add_argument("--b-ms", default="10,15", help="block lengths in ms, comma-separated")
-    p.add_argument("--k", type=int, default=200)
+    _add_run_flags(p)
     p.add_argument("--replicas", type=int, default=100)
     p.add_argument("--oracle-replicas", type=int, default=4000)
     p.add_argument("--levels", default=DEFAULT_LEVELS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true",
                    help="tiny smoke configuration (3 replicas, 0.5 s)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="write cells as CSV")
     p.set_defaults(func=cmd_mc)
@@ -618,6 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.fs is not None and not args.fs > 0:  # every command takes --fs
+            raise CliError("invalid-config", f"--fs must be positive, got {args.fs:g}")
         return args.func(args)
     except CliError as e:
         _error_json(e.code, str(e))

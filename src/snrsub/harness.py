@@ -27,7 +27,7 @@ from .simgen import (
     design_noise,
     gen_design,
 )
-from .smoother import select_bandwidth
+from .smoother import MIN_BLOCK_SAMPLES, select_bandwidth
 from .subsample import (
     ExcessiveSkipsError,
     SnrDistribution,
@@ -92,7 +92,13 @@ class ExperimentSpec:
         if any(not (0.0 < g < 1.0) for g in lv) or any(a >= b for a, b in zip(lv, lv[1:])):
             raise ValueError(f"levels must be strictly increasing in (0, 1), got {lv}")
         object.__setattr__(self, "levels", lv)
-        object.__setattr__(self, "block_lengths", tuple(int(b) for b in self.block_lengths))
+        bs = tuple(int(b) for b in self.block_lengths)
+        if len(set(bs)) < len(bs):
+            raise ValueError(f"block lengths must be distinct, got {bs}")
+        for b in bs:
+            if b < MIN_BLOCK_SAMPLES:
+                raise ValueError(f"block length must be >= {MIN_BLOCK_SAMPLES} samples, got {b}")
+        object.__setattr__(self, "block_lengths", bs)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ __all__ = [
 # below this the squared-reciprocal correction factor explodes and the
 # candidate bandwidth is discarded
 CORRECTION_FLOOR = 0.05
+# the shortest series ``select_bandwidth`` fits, and so the shortest block
+MIN_BLOCK_SAMPLES = 16
 
 
 def epanechnikov(u):
@@ -339,8 +341,8 @@ def select_bandwidth(
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
-    if n < 16:
-        raise ValueError(f"need at least 16 samples, got {n}")
+    if n < MIN_BLOCK_SAMPLES:
+        raise ValueError(f"need at least {MIN_BLOCK_SAMPLES} samples, got {n}")
     if grid is None:
         grid = BandwidthGrid()
     plan = _cv_plan(n, grid, regime)

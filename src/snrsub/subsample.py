@@ -20,7 +20,13 @@ import numpy as np
 
 from .core import TimeSeries, empirical_quantile
 from .simgen import derive_rng, derive_seed
-from .smoother import BandwidthGrid, KernelFit, priestley_chao_fit, select_bandwidth
+from .smoother import (
+    MIN_BLOCK_SAMPLES,
+    BandwidthGrid,
+    KernelFit,
+    priestley_chao_fit,
+    select_bandwidth,
+)
 
 __all__ = [
     "SubsampleConfig",
@@ -66,13 +72,13 @@ def default_b1(b: int) -> int:
 class SubsampleConfig:
     """Block-subsampling parameters.
 
-    ``b`` is the primary block length in samples (at least 16 so the
-    smoother has a workable window), ``b1`` the secondary window for the
-    noise variance (defaults to floor(b**(2/5)), never below 4), ``k_blocks``
-    the number of random blocks, and ``seed`` the master seed.  With
-    ``shared_bandwidth`` the cross-validation runs once on the first drawn
-    block and its bandwidth is reused everywhere; this is an approximation
-    that trades the per-block adaptation for speed.
+    ``b`` is the primary block length in samples (at least
+    ``MIN_BLOCK_SAMPLES`` so the smoother has a workable window), ``b1`` the
+    secondary window for the noise variance (defaults to floor(b**(2/5)),
+    never below 4), ``k_blocks`` the number of random blocks, and ``seed``
+    the master seed.  With ``shared_bandwidth`` the cross-validation runs
+    once on the first drawn block and its bandwidth is reused everywhere;
+    this is an approximation that trades the per-block adaptation for speed.
     """
 
     b: int
@@ -84,8 +90,8 @@ class SubsampleConfig:
     shared_bandwidth: bool = False
 
     def __post_init__(self):
-        if self.b < 16:
-            raise ValueError(f"block length must be >= 16 samples, got {self.b}")
+        if self.b < MIN_BLOCK_SAMPLES:
+            raise ValueError(f"block length must be >= {MIN_BLOCK_SAMPLES} samples, got {self.b}")
         if self.k_blocks < 1:
             raise ValueError(f"k_blocks must be >= 1, got {self.k_blocks}")
         if self.workers < 1:

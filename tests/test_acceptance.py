@@ -152,6 +152,7 @@ def test_criterion_4_generator_fidelity():
            f"AR lag-1 {r1:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_5_distribution_center(ar10_experiment):
     spec, dists, fixture_elapsed = ar10_experiment
     t0 = time.perf_counter()
@@ -184,6 +185,7 @@ def test_criterion_6_tail_asymmetry(ar10_experiment):
            "orderings are sampling noise; see decisions ledger)")
 
 
+@pytest.mark.slow
 def test_criterion_7_mse_ordering():
     specs = {
         design: ExperimentSpec(design, 6.0, block_lengths=(441, 662), k_blocks=200,

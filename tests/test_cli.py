@@ -492,6 +492,102 @@ class TestBandwidthCmd:
         assert len(chosen[1.0]) == 1
 
 
+# Every failure path reaches ``main``'s error JSON: (argv, code, message).
+# {raw} and {wav} are 0.25 s AR recordings, {tmp} a scratch directory.
+ERROR_TABLE = {
+    "missing-input": (
+        ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441"],
+        "io-error", "[Errno 2] No such file or directory: '{tmp}/missing.raw'"),
+    "b1-too-small": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441", "--b1", "3"],
+        "invalid-config", "need 4 <= b1 < b, got b1=3, b=441"),
+    "block-too-short": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "10"],
+        "invalid-config", "block length must be >= 16 samples, got 10"),
+    "k-zero": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441", "--k", "0"],
+        "invalid-config", "k_blocks must be >= 1, got 0"),
+    "mc-replicas-zero": (
+        ["mc", "--design", "ar", "--snr", "6", "--replicas", "0"],
+        "invalid-config", "replicas must be >= 1, got 0"),
+    "bandwidth-block-too-short": (
+        ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-samples", "8"],
+        "invalid-config", "need at least 16 samples, got 8"),
+    "simulate-nyquist": (
+        ["simulate", "--design", "ar", "--duration", "0.1", "--fs", "100", "--out", "{tmp}/x.raw"],
+        "nyquist", "50 Hz signal violates Nyquist at rate 100.0 Hz"),
+    "simulate-fractional-length": (
+        ["simulate", "--design", "sine-only", "--duration", "0.00001", "--out", "{tmp}/x.raw"],
+        "invalid-config", "duration*rate must be a positive integer, got 0.44100000000000006"),
+    "simulate-negative-variance": (
+        ["simulate", "--design", "ar", "--duration", "0.1", "--noise-variance", "-1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "noise variance must be positive, got -1.0"),
+    "noise-only-too-short": (
+        ["simulate", "--design", "noise-only", "--noise", "p2", "--duration", "0.0002",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "n must be >= 16, got 9"),
+    "simulate-unwritable-out": (
+        ["simulate", "--design", "ar", "--duration", "0.1", "--out", "{tmp}/nodir/x.raw"],
+        "io-error",
+        "cannot write {tmp}/nodir/x.raw: [Errno 2] No such file or directory: '{tmp}/nodir/x.raw'"),
+    "estimate-unwritable-snr-csv": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441", "--k", "16",
+         "--out", "{tmp}/r.json", "--snr-csv", "{tmp}/nodir/s.csv"],
+        "io-error", "[Errno 2] No such file or directory: '{tmp}/nodir/s.csv'"),
+    "simulate-fs-zero": (
+        ["simulate", "--design", "ar", "--duration", "0.1", "--fs", "0", "--out", "{tmp}/x.raw"],
+        "invalid-config", "--fs must be positive, got 0"),
+    "noise-only-fs-nan": (
+        ["simulate", "--design", "noise-only", "--duration", "0.1", "--fs", "nan",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "--fs must be positive, got nan"),
+    "estimate-wav-fs-zero": (
+        ["estimate", "--input", "{wav}", "--fs", "0", "--block-samples", "441"],
+        "invalid-config", "--fs must be positive, got 0"),
+    "estimate-raw-fs-zero": (
+        ["estimate", "--input", "{raw}", "--fs", "0", "--block-samples", "441"],
+        "invalid-config", "--fs must be positive, got 0"),
+    "mc-repeated-block": (
+        ["mc", "--design", "ar", "--snr", "6", "--b-ms", "10,10", "--quick"],
+        "invalid-config", "block lengths must be distinct, got (441, 441)"),
+    "mc-block-too-short": (
+        ["mc", "--design", "ar", "--snr", "6", "--b-ms", "0.3", "--quick"],
+        "invalid-config", "block length must be >= 16 samples, got 13"),
+}
+
+
+@pytest.fixture(scope="module")
+def recordings(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("recordings")
+    for fmt, name in (("raw", "ar.raw"), ("wav16", "ar.wav")):
+        assert main(["simulate", "--design", "ar", "--duration", "0.25", "--seed", "3",
+                     "--format", fmt, "--out", str(tmp / name)]) == 0
+    return {"raw": str(tmp / "ar.raw"), "wav": str(tmp / "ar.wav")}
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("case", list(ERROR_TABLE))
+    def test_error_json(self, tmp_path, capsys, monkeypatch, recordings, case):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("Monte Carlo pass started")
+        monkeypatch.setattr("snrsub.cli.mc_reports", no_monte_carlo)
+        argv, code, message = ERROR_TABLE[case]
+        paths = dict(recordings, tmp=str(tmp_path))
+        exit_code, stdout, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert (exit_code, stdout) == (1, "")
+        assert json.loads(err) == {
+            "schema_version": 1,
+            "error": {"code": code, "message": message.format(**paths)},
+        }
+
+    @pytest.mark.parametrize("command", ["estimate", "select-block", "mc"])
+    def test_threads_help_names_the_environment_variable(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "$SNRSUB_THREADS" in capsys.readouterr().out
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = str(tmp_path / "m.raw")

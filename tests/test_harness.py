@@ -43,6 +43,10 @@ class TestExperimentSpec:
             tiny_spec(levels=(0.5, 0.1))
         with pytest.raises(ValueError):
             tiny_spec(levels=(0.0, 0.5))
+        with pytest.raises(ValueError, match="distinct, got \\(441, 441\\)"):
+            tiny_spec(block_lengths=(441, 441))
+        with pytest.raises(ValueError, match="must be >= 16 samples, got 13"):
+            tiny_spec(block_lengths=(441, 13))
 
 
 class TestOracleQuantiles:
