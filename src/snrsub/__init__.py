@@ -53,6 +53,7 @@ from .smoother import (
 )
 from .subsample import (
     ExcessiveSkipsError,
+    KTooLargeError,
     SnrDistribution,
     SubsampleConfig,
     SubsampleEstimate,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import json
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .harness import ExperimentSpec, mc_reports
+from .harness import SCHEMA_VERSION, ExperimentSpec, McReport, dump_json, mc_reports
 from .simgen import (
     DESIGNS,
     SIGNAL_FREQ_HZ,
@@ -34,10 +33,12 @@ from .simgen import (
     design_noise,
     gen_design,
     gen_sine,
+    sample_count,
 )
 from .smoother import MIN_BLOCK_SAMPLES
 from .subsample import (
     ExcessiveSkipsError,
+    KTooLargeError,
     SubsampleConfig,
     confidence_interval,
     estimate_snr_distribution,
@@ -45,7 +46,6 @@ from .subsample import (
     select_block_size,
 )
 
-SCHEMA_VERSION = 1
 THREADS_ENV = "SNRSUB_THREADS"
 
 DEFAULT_LEVELS = "0.1,0.25,0.5,0.75,0.9"
@@ -164,10 +164,6 @@ def write_wav16(path: str, samples: np.ndarray, fs_hz: float) -> float:
 
 # ---------------------------------------------------------------- helpers
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as f:
@@ -177,7 +173,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _error_json(code: str, message: str) -> None:
-    sys.stderr.write(_dump_json({
+    sys.stderr.write(dump_json({
         "schema_version": SCHEMA_VERSION,
         "error": {"code": code, "message": message},
     }))
@@ -282,7 +278,7 @@ def cmd_simulate(args) -> int:
     else:  # noise-only; argparse admits no other design
         noise = (NoiseSpec.white(noise_var) if args.noise == "white"
                  else design_noise(args.noise, noise_var))
-        n = int(round(args.duration * fs))
+        n = sample_count(args.duration, fs)
         series = TimeSeries(noise.sample(n, derive_rng(seed)), fs)
         derived = {"amplitude": 0.0, "signal_power": 0.0,
                    "noise": noise.describe(), "true_snr_db": None}
@@ -298,7 +294,7 @@ def cmd_simulate(args) -> int:
 
     derived["n"] = series.n
     manifest["derived"] = derived
-    text = _dump_json(manifest)
+    text = dump_json(manifest)
     manifest_path = args.manifest or (args.out + ".manifest.json")
     try:
         with open(manifest_path, "w") as f:
@@ -315,11 +311,6 @@ def cmd_estimate(args) -> int:
     levels = _parse_levels(args.levels, "--levels")
     ci_levels = _parse_levels(args.ci, "--ci")
     threads = _threads(args)
-    n = series.n
-    if b > n:
-        raise CliError("invalid-config", f"block length {b} exceeds series length {n}")
-    if args.k > n - b + 1:
-        raise CliError("k-too-large", f"k={args.k} exceeds the {n - b + 1} admissible starts")
     cfg = SubsampleConfig(b=b, k_blocks=args.k, seed=args.seed, b1=args.b1,
                           workers=threads, shared_bandwidth=args.shared_bandwidth)
 
@@ -336,7 +327,7 @@ def cmd_estimate(args) -> int:
             "format": desc.format,
             "channel": desc.channel,
             "fs_hz": series.sample_rate_hz,
-            "n": n,
+            "n": series.n,
             "b": cfg.b,
             "b1": cfg.b1,
             "k": cfg.k_blocks,
@@ -360,7 +351,7 @@ def cmd_estimate(args) -> int:
     }
     if args.timings:  # wall-clock only on request, so the default report is reproducible
         report["timings"] = {"estimate_s": elapsed, "threads": threads}
-    _emit(_dump_json(report), args.out)
+    _emit(dump_json(report), args.out)
     if args.snr_csv:
         lines = ["snr_db"] + [repr(float(v)) for v in dist.snr_values]
         _emit("\n".join(lines) + "\n", args.snr_csv)
@@ -413,7 +404,7 @@ def cmd_select_block(args) -> int:
             "table": table,
         },
     }
-    _emit(_dump_json(report), args.out)
+    _emit(dump_json(report), args.out)
     if args.table_csv:
         lines = ["b,b_ms,q_low,q_high,volatility"]
         for row in table:
@@ -465,15 +456,12 @@ def cmd_mc(args) -> int:
             "quick": args.quick,
             "oracle_replicas": oracle_replicas,
         },
-        "reports": {name: json.loads(rep.to_json()) for name, rep in reports.items()},
+        "reports": {name: rep.payload for name, rep in reports.items()},
     }
-    _emit(_dump_json(payload), args.out)
-    if args.csv:
-        chunks = []
-        for name in sorted(reports):
-            body = reports[name].to_csv()
-            chunks.append(body if not chunks else "".join(body.splitlines(True)[1:]))
-        _emit("".join(chunks), args.csv)
+    _emit(dump_json(payload), args.out)
+    if args.csv:  # one table: the cells of each report, reports in name order
+        cells = tuple(c for name in sorted(reports) for c in reports[name].cells)
+        _emit(McReport(spec, cells).to_csv(), args.csv)
     return 0
 
 
@@ -606,6 +594,9 @@ def main(argv=None) -> int:
         return 1
     except ExcessiveSkipsError as e:
         _error_json("excessive-skips", str(e))
+        return 1
+    except KTooLargeError as e:
+        _error_json("k-too-large", str(e))
         return 1
     except OSError as e:
         _error_json("io-error", str(e))

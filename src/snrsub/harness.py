@@ -26,12 +26,14 @@ from .simgen import (
     derive_seed,
     design_noise,
     gen_design,
+    sample_count,
 )
-from .smoother import MIN_BLOCK_SAMPLES, select_bandwidth
+from .smoother import select_bandwidth
 from .subsample import (
     ExcessiveSkipsError,
     SnrDistribution,
     SubsampleConfig,
+    admissible_starts,
     default_b1,
     estimate_blocks,
     call,
@@ -64,6 +66,12 @@ ORACLE_NOISE_LEN = 4096  # synthesis length from which oracle noise windows are 
 ORACLE_SLAB_SAMPLES = 1 << 18  # noise samples generated per slab of oracle draws, bounds memory
 _POWER_CHUNK = 2048  # blocks per vectorized slab, bounds memory at large draw counts
 MSE_TARGETS = ("block", "global")
+SCHEMA_VERSION = 1  # of every JSON object the package writes: reports and CLI errors
+
+
+def dump_json(payload: dict) -> str:
+    """Canonical JSON text: sorted keys, compact separators, one newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,8 @@ class ExperimentSpec:
     """One Monte Carlo experiment cell family.
 
     Desk-scale defaults: 3 s at 44.1 kHz (n = 132,300), 100 replicas, K = 200
-    blocks, block lengths 10 ms and 15 ms in samples.
+    blocks, block lengths 10 ms and 15 ms in samples.  The run shape (n and
+    each block length against it and K) is checked here, before any work.
     """
 
     design: str
@@ -95,9 +104,10 @@ class ExperimentSpec:
         bs = tuple(int(b) for b in self.block_lengths)
         if len(set(bs)) < len(bs):
             raise ValueError(f"block lengths must be distinct, got {bs}")
+        n = sample_count(self.duration_s, self.fs_hz)
         for b in bs:
-            if b < MIN_BLOCK_SAMPLES:
-                raise ValueError(f"block length must be >= {MIN_BLOCK_SAMPLES} samples, got {b}")
+            SubsampleConfig(b=b, k_blocks=self.k_blocks)  # its own checks of b and k_blocks
+            admissible_starts(n, b, self.k_blocks)
         object.__setattr__(self, "block_lengths", bs)
 
 
@@ -124,16 +134,20 @@ class McReport:
     spec: ExperimentSpec
     cells: tuple[McCell, ...]
 
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
+    @property
+    def payload(self) -> dict:
+        """The report as a JSON object; cells leave out their per-replica values."""
+        return {
+            "schema_version": SCHEMA_VERSION,
             "spec": asdict(self.spec),
             "cells": [
                 {k: v for k, v in asdict(c).items() if k != "values"}
                 for c in self.cells
             ],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def to_json(self) -> str:
+        return dump_json(self.payload)
 
     def to_csv(self) -> str:
         lines = ["design,snr_db,b,metric,level,mean,se,replicas,failures"]
@@ -185,32 +199,31 @@ def _true_block_power(amp: float, starts: np.ndarray, b: int, fs_hz: float) -> n
     return out
 
 
-def _replica(spec: ExperimentSpec, r: int) -> tuple[dict, dict]:
-    """Estimate replica r once per block length b.
+def _replica(spec: ExperimentSpec, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, failed) for replica r, estimated once per block length.
 
-    Returns, per b, the signal-power MSE against each of MSE_TARGETS and the
-    quantile at each spec level; both are None where estimation aborts on
-    excessive skips.
+    Row j, for the j-th block length, holds the signal-power MSE against each
+    of MSE_TARGETS, then the quantile at each spec level.  ``failed[j]`` marks
+    a block length where estimation aborts on excessive skips; its row is 0.
     """
     series = _replica_series(spec, r)
     amp = calibrate_amplitude(spec.true_snr_db, spec.noise_variance)
-    mse: dict[int, dict[str, float] | None] = {}
-    quantiles: dict[int, dict[float, float] | None] = {}
-    for b in spec.block_lengths:
+    rows = np.zeros((len(spec.block_lengths), len(MSE_TARGETS) + len(spec.levels)))
+    failed = np.zeros(len(spec.block_lengths), dtype=bool)
+    for j, b in enumerate(spec.block_lengths):
         try:
             dist = estimate_snr_distribution(series, _replica_config(spec, r, b))
         except ExcessiveSkipsError:
-            mse[b] = quantiles[b] = None
+            failed[j] = True
             continue
         power = dist.signal_power[dist.kept]
         truth = {
             "block": _true_block_power(amp, dist.starts[dist.kept], b, spec.fs_hz),
             "global": amp ** 2 / 2.0,
         }
-        errs = {name: power - truth[name] for name in MSE_TARGETS}
-        mse[b] = {name: float(e @ e) / e.size for name, e in errs.items()}
-        quantiles[b] = {g: dist.quantile(g) for g in spec.levels}
-    return mse, quantiles
+        errs = [power - truth[name] for name in MSE_TARGETS]
+        rows[j] = [float(e @ e) / e.size for e in errs] + [dist.quantile(g) for g in spec.levels]
+    return rows, failed
 
 
 def _oracle(spec: ExperimentSpec, b: int, oracle_replicas: int) -> dict[float, float]:
@@ -220,10 +233,11 @@ def _oracle(spec: ExperimentSpec, b: int, oracle_replicas: int) -> dict[float, f
                             spec.fs_hz, spec.duration_s, spec.noise_variance)
 
 
-def _run_replicas(spec: ExperimentSpec, workers: int,
-                  oracle_replicas: int = 0) -> tuple[list[tuple], dict[int, dict]]:
-    """(``_replica`` for every replica, listed by replica number, ``_oracle``
-    per block length when ``oracle_replicas`` >= 1).
+def _run_replicas(spec: ExperimentSpec, workers: int, oracle_replicas: int = 0
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], dict[int, dict]]:
+    """((values, failed), ``_oracle`` per block length when ``oracle_replicas``
+    >= 1): ``values[r, j]`` and ``failed[r, j]`` are ``_replica``'s row and
+    failure mark for replica r at the j-th block length.
 
     Replicas and oracles run as jobs of one pool, oracles first, since each
     takes about as long as several replicas.  Every job draws from its own
@@ -233,19 +247,18 @@ def _run_replicas(spec: ExperimentSpec, workers: int,
     jobs = [(_oracle, (spec, b, oracle_replicas)) for b in oracle_b]
     jobs += [(_replica, (spec, r)) for r in range(spec.replicas)]
     out = parallel_map(call, jobs, workers)
-    return out[len(oracle_b):], dict(zip(oracle_b, out))
+    values, failed = (np.stack(col) for col in zip(*out[len(oracle_b):]))
+    return (values, failed), dict(zip(oracle_b, out))
 
 
-def _aggregate(per_replica_values: list[float | None]):
-    """(mean, se, failures) over replicas, summed in fixed replica-index order."""
-    vals = [v for v in per_replica_values if v is not None]
-    failures = len(per_replica_values) - len(vals)
-    if not vals:
-        return None, None, failures, ()
-    arr = np.array(vals)
-    mean = float(arr.sum() / arr.size)
-    se = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None
-    return mean, se, failures, tuple(float(v) for v in vals)
+def _cell(spec: ExperimentSpec, b: int, metric: str, level: float | None,
+          column: np.ndarray, failed: np.ndarray) -> McCell:
+    """Mean and se over the replicas not ``failed``, summed in replica order."""
+    vals = column[~failed]
+    mean = float(vals.sum() / vals.size) if vals.size else None
+    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else None
+    return McCell(spec.design, spec.true_snr_db, b, metric, level, mean, se,
+                  spec.replicas, int(failed.sum()), tuple(vals.tolist()))
 
 
 def mse_signal_power(spec: ExperimentSpec, workers: int = 1,
@@ -278,15 +291,13 @@ def mse_signal_power(spec: ExperimentSpec, workers: int = 1,
     return _mse_report(spec, _run_replicas(spec, workers)[0], target)
 
 
-def _mse_report(spec: ExperimentSpec, by_r: list[tuple], target: str) -> McReport:
+def _mse_report(spec: ExperimentSpec, table: tuple, target: str) -> McReport:
+    values, failed = table
     metric = "mse_signal_power" if target == "block" else f"mse_signal_power_{target}"
-    cells = []
-    for b in spec.block_lengths:
-        mean, se, failures, vals = _aggregate(
-            [None if mse[b] is None else mse[b][target] for mse, _ in by_r])
-        cells.append(McCell(spec.design, spec.true_snr_db, b, metric,
-                            None, mean, se, spec.replicas, failures, vals))
-    return McReport(spec, tuple(cells))
+    col = MSE_TARGETS.index(target)
+    return McReport(spec, tuple(
+        _cell(spec, b, metric, None, values[:, j, col], failed[:, j])
+        for j, b in enumerate(spec.block_lengths)))
 
 
 def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
@@ -310,11 +321,9 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
         b1 = default_b1(b)
     amp = calibrate_amplitude(true_snr_db, noise_variance)
     noise = design_noise(design, noise_variance)
-    n = int(round(duration_s * fs_hz))
-    if b > n:
-        raise ValueError(f"block length {b} exceeds n={n}")
+    n_starts = admissible_starts(sample_count(duration_s, fs_hz), b)
     rng = derive_rng(seed)
-    starts = rng.integers(1, n - b + 2, size=replicas)
+    starts = rng.integers(1, n_starts + 1, size=replicas)
     u = _true_block_power(amp, starts, b, fs_hz)
     draw_len, slab = _oracle_slab(noise.kind, b1)
     v = np.concatenate([
@@ -361,16 +370,13 @@ def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = 4000,
     return mc_reports(spec, ("qmae",), oracle_replicas, workers)["qmae"]
 
 
-def _qmae_report(spec: ExperimentSpec, by_r: list[tuple],
+def _qmae_report(spec: ExperimentSpec, table: tuple,
                  oracles: dict[int, dict[float, float]]) -> McReport:
-    cells = []
-    for b in spec.block_lengths:
-        for g in spec.levels:
-            mean, se, failures, vals = _aggregate(
-                [None if q[b] is None else abs(q[b][g] - oracles[b][g]) for _, q in by_r])
-            cells.append(McCell(spec.design, spec.true_snr_db, b, "quantile_mae",
-                                g, mean, se, spec.replicas, failures, vals))
-    return McReport(spec, tuple(cells))
+    values, failed = table
+    return McReport(spec, tuple(
+        _cell(spec, b, "quantile_mae", g,
+              np.abs(values[:, j, len(MSE_TARGETS) + i] - oracles[b][g]), failed[:, j])
+        for j, b in enumerate(spec.block_lengths) for i, g in enumerate(spec.levels)))
 
 
 def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
@@ -385,9 +391,9 @@ def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
         raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
     if "qmae" in metrics:
         _check_oracle_replicas(oracle_replicas)
-    by_r, oracles = _run_replicas(spec, workers, oracle_replicas if "qmae" in metrics else 0)
-    build = {"mse": lambda: _mse_report(spec, by_r, "block"),
-             "qmae": lambda: _qmae_report(spec, by_r, oracles)}
+    table, oracles = _run_replicas(spec, workers, oracle_replicas if "qmae" in metrics else 0)
+    build = {"mse": lambda: _mse_report(spec, table, "block"),
+             "qmae": lambda: _qmae_report(spec, table, oracles)}
     return {m: build[m]() for m in metrics}
 
 

@@ -17,6 +17,7 @@ from .core import TimeSeries
 __all__ = [
     "SignalSpec",
     "NoiseSpec",
+    "sample_count",
     "derive_seed",
     "derive_rng",
     "calibrate_amplitude",
@@ -49,6 +50,15 @@ def _as_rng(seed) -> np.random.Generator:
     return derive_rng(int(seed))
 
 
+def sample_count(duration_s: float, rate_hz: float) -> int:
+    """Samples in ``duration_s`` seconds at ``rate_hz``: their product, which
+    must be a positive integer to within 1e-6, so no length is rounded silently."""
+    nf = duration_s * rate_hz
+    if not (math.isfinite(nf) and nf >= 1 and abs(nf - round(nf)) < 1e-6):
+        raise ValueError(f"duration*rate must be a positive integer, got {nf}")
+    return int(round(nf))
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Deterministic sinusoid: amplitude, frequency, rate, and duration."""
@@ -63,13 +73,11 @@ class SignalSpec:
             raise ValueError(
                 f"frequency {self.frequency_hz} Hz violates Nyquist at rate {self.sample_rate_hz} Hz"
             )
-        nf = self.duration_s * self.sample_rate_hz
-        if not (nf >= 1 and abs(nf - round(nf)) < 1e-6):
-            raise ValueError(f"duration*rate must be a positive integer, got {nf}")
+        sample_count(self.duration_s, self.sample_rate_hz)
 
     @property
     def n(self) -> int:
-        return int(round(self.duration_s * self.sample_rate_hz))
+        return sample_count(self.duration_s, self.sample_rate_hz)
 
 
 @dataclass(frozen=True)

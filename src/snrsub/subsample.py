@@ -34,7 +34,9 @@ __all__ = [
     "SnrDistribution",
     "BlockSizeSelection",
     "ExcessiveSkipsError",
+    "KTooLargeError",
     "default_b1",
+    "admissible_starts",
     "draw_blocks",
     "select_bandwidth_scaled",
     "block_estimate",
@@ -61,6 +63,10 @@ class ExcessiveSkipsError(RuntimeError):
             f"{skipped} of {total} blocks skipped (budget {SKIP_BUDGET:.0%}); "
             "quantiles would be biased by silent mass-skipping"
         )
+
+
+class KTooLargeError(ValueError):
+    """More distinct blocks requested than a series has admissible starts."""
 
 
 def default_b1(b: int) -> int:
@@ -164,17 +170,26 @@ class SnrDistribution:
         return {float(g): self.quantile(g) for g in levels}
 
 
+def admissible_starts(n: int, b: int, k: int = 1) -> int:
+    """The n - b + 1 starts of a length-b block in n samples, checked to hold
+    ``k`` distinct blocks (``KTooLargeError`` if they cannot)."""
+    if b > n:
+        raise ValueError(f"block length {b} exceeds series length {n}")
+    if b < 1 or k < 1:
+        raise ValueError(f"need b >= 1 and k >= 1, got b={b}, k={k}")
+    n_starts = n - b + 1
+    if k > n_starts:
+        raise KTooLargeError(f"k={k} exceeds the {n_starts} admissible block starts")
+    return n_starts
+
+
 def draw_blocks(n: int, b: int, k: int, seed: int) -> np.ndarray:
     """K distinct block starts drawn uniformly from {1, ..., n-b+1}.
 
     Starts are 1-based sample positions, returned in draw order; the draw is
     a pure function of the seed.
     """
-    if not (1 <= b <= n):
-        raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    n_starts = n - b + 1
-    if not (1 <= k <= n_starts):
-        raise ValueError(f"k={k} exceeds the {n_starts} admissible block starts")
+    n_starts = admissible_starts(n, b, k)
     rng = derive_rng(seed)
     return rng.choice(n_starts, size=k, replace=False).astype(np.int64) + 1
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,7 +495,8 @@ class TestBandwidthCmd:
 
 
 # Every failure path reaches ``main``'s error JSON: (argv, code, message).
-# {raw} and {wav} are 0.25 s AR recordings, {tmp} a scratch directory.
+# {raw} and {wav} are 0.25 s AR recordings (11025 samples), {flat} 4000 zeros
+# at 1 kHz, {tmp} a scratch directory.
 ERROR_TABLE = {
     "missing-input": (
         ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441"],
@@ -524,9 +527,15 @@ ERROR_TABLE = {
          "--out", "{tmp}/x.raw"],
         "invalid-config", "noise variance must be positive, got -1.0"),
     "noise-only-too-short": (
-        ["simulate", "--design", "noise-only", "--noise", "p2", "--duration", "0.0002",
-         "--out", "{tmp}/x.raw"],
+        ["simulate", "--design", "noise-only", "--noise", "p2", "--fs", "1000",
+         "--duration", "0.009", "--out", "{tmp}/x.raw"],
         "invalid-config", "n must be >= 16, got 9"),
+    "noise-only-fractional-length": (
+        ["simulate", "--design", "noise-only", "--duration", "0.100001", "--out", "{tmp}/x.raw"],
+        "invalid-config", "duration*rate must be a positive integer, got 4410.0441"),
+    "simulate-infinite-duration": (
+        ["simulate", "--design", "ar", "--duration", "inf", "--out", "{tmp}/x.raw"],
+        "invalid-config", "duration*rate must be a positive integer, got inf"),
     "simulate-unwritable-out": (
         ["simulate", "--design", "ar", "--duration", "0.1", "--out", "{tmp}/nodir/x.raw"],
         "io-error",
@@ -554,6 +563,41 @@ ERROR_TABLE = {
     "mc-block-too-short": (
         ["mc", "--design", "ar", "--snr", "6", "--b-ms", "0.3", "--quick"],
         "invalid-config", "block length must be >= 16 samples, got 13"),
+    "mc-k-too-large": (
+        ["mc", "--design", "ar", "--snr", "6", "--duration", "0.05", "--k", "5000", "--b-ms", "10",
+         "--metric", "qmae"],
+        "k-too-large", "k=5000 exceeds the 1765 admissible block starts"),
+    "mc-block-too-long": (
+        ["mc", "--design", "ar", "--snr", "6", "--duration", "0.01", "--b-ms", "15"],
+        "invalid-config", "block length 662 exceeds series length 441"),
+    "mc-fractional-length": (
+        ["mc", "--design", "ar", "--snr", "6", "--duration", "0.10001", "--b-ms", "10",
+         "--metric", "qmae"],
+        "invalid-config", "duration*rate must be a positive integer, got 4410.441"),
+    "estimate-k-too-large": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-ms", "10", "--k", "100000"],
+        "k-too-large", "k=100000 exceeds the 10585 admissible block starts"),
+    "estimate-block-too-long": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "20000"],
+        "invalid-config", "block length 20000 exceeds series length 11025"),
+    "estimate-block-flags-conflict": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-ms", "10",
+         "--block-samples", "441"],
+        "config-conflict",
+        "exactly one of --block-samples/--block-ms/--block-s required, got "
+        "['--block-samples', '--block-ms']"),
+    "estimate-excessive-skips": (
+        ["estimate", "--input", "{flat}", "--fs", "1000", "--block-samples", "441", "--k", "8"],
+        "excessive-skips",
+        "8 of 8 blocks skipped (budget 10%); quantiles would be biased by silent mass-skipping"),
+    "estimate-partial-raw-sample": (
+        ["estimate", "--input", "{wav}", "--format", "raw", "--fs", "44100",
+         "--block-samples", "441"],
+        "bad-input", "raw: 22094 bytes in {wav} is not a whole number of float64 samples"),
+    "select-block-grid-infeasible": (
+        ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min", "500",
+         "--grid-max", "900", "--k", "16"],
+        "grid-infeasible", "grid reduces to 0 feasible candidates; need at least 5"),
 }
 
 
@@ -563,7 +607,8 @@ def recordings(tmp_path_factory):
     for fmt, name in (("raw", "ar.raw"), ("wav16", "ar.wav")):
         assert main(["simulate", "--design", "ar", "--duration", "0.25", "--seed", "3",
                      "--format", fmt, "--out", str(tmp / name)]) == 0
-    return {"raw": str(tmp / "ar.raw"), "wav": str(tmp / "ar.wav")}
+    write_raw_f64le(str(tmp / "flat.raw"), np.zeros(4000))
+    return {"raw": str(tmp / "ar.raw"), "wav": str(tmp / "ar.wav"), "flat": str(tmp / "flat.raw")}
 
 
 class TestErrorTable:
@@ -580,6 +625,12 @@ class TestErrorTable:
             "schema_version": 1,
             "error": {"code": code, "message": message.format(**paths)},
         }
+
+    def test_codes_match_the_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Reports and determinism", 1)[1].split("\n#", 1)[0]
+        documented = set(re.findall(r"^\| `([a-z-]+)` \|", section, re.MULTILINE))
+        assert documented == {code for _, code, _ in ERROR_TABLE.values()}
 
     @pytest.mark.parametrize("command", ["estimate", "select-block", "mc"])
     def test_threads_help_names_the_environment_variable(self, capsys, command):

@@ -17,7 +17,7 @@ from snrsub.harness import (
     quantile_mae,
 )
 from snrsub.simgen import calibrate_amplitude, derive_rng, design_noise, gen_design
-from snrsub.subsample import ExcessiveSkipsError, default_b1
+from snrsub.subsample import ExcessiveSkipsError, KTooLargeError, default_b1
 
 
 def tiny_spec(**kw):
@@ -47,6 +47,18 @@ class TestExperimentSpec:
             tiny_spec(block_lengths=(441, 441))
         with pytest.raises(ValueError, match="must be >= 16 samples, got 13"):
             tiny_spec(block_lengths=(441, 13))
+
+    def test_run_shape_checked_against_n(self):
+        # n = 0.25 s * 44.1 kHz = 11025 samples
+        with pytest.raises(ValueError, match="positive integer, got 11025.441"):
+            tiny_spec(duration_s=0.25001)
+        with pytest.raises(ValueError, match="block length 11026 exceeds series length 11025"):
+            tiny_spec(block_lengths=(441, 11026))
+        with pytest.raises(KTooLargeError, match="k=10586 exceeds the 10585 admissible"):
+            tiny_spec(k_blocks=10586)
+        with pytest.raises(ValueError, match="k_blocks must be >= 1, got 0"):
+            tiny_spec(k_blocks=0)
+        assert tiny_spec(block_lengths=(11025,), k_blocks=1).block_lengths == (11025,)
 
 
 class TestOracleQuantiles:
@@ -102,6 +114,10 @@ class TestOracleQuantiles:
     def test_no_draws_rejected(self, count):
         with pytest.raises(ValueError, match="oracle_replicas must be >= 1"):
             oracle_draws("ar", 10.0, 441, None, count, seed=0)
+
+    def test_fractional_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration\\*rate must be a positive integer"):
+            oracle_draws("ar", 10.0, 441, None, 10, seed=0, duration_s=0.10001)
 
     def test_quantiles_of_the_draws(self):
         draws = oracle_draws("ar", 10.0, 441, None, 300, seed=6)
@@ -181,6 +197,25 @@ class TestMseReport:
         cell = rep.cells[0]
         assert cell.failures == 2
         assert cell.mean is None and cell.se is None
+
+    def test_failures_marked_per_block_length(self, monkeypatch):
+        import snrsub.harness as harness
+
+        real = harness.estimate_snr_distribution
+
+        def skips_at_662(series, cfg):
+            if cfg.b == 662:
+                raise ExcessiveSkipsError(cfg.k_blocks, cfg.k_blocks)
+            return real(series, cfg)
+
+        monkeypatch.setattr(harness, "estimate_snr_distribution", skips_at_662)
+        reports = mc_reports(tiny_spec(replicas=2, block_lengths=(441, 662)), ("mse", "qmae"),
+                             oracle_replicas=100)
+        cells = reports["mse"].cells + reports["qmae"].cells
+        assert [(c.b, c.failures, c.mean is None) for c in cells] == (
+            [(441, 0, False), (662, 2, True)] + [(441, 0, False)] * 3 + [(662, 2, True)] * 3)
+        monkeypatch.setattr(harness, "estimate_snr_distribution", real)
+        assert reports["mse"].cells[0] == mse_signal_power(tiny_spec(replicas=2)).cells[0]
 
     def test_tiny_noise_variance_scales_exactly(self):
         # variance 2**-100 scales the whole series by exactly 2**-50, so the

@@ -70,6 +70,12 @@ class TestGenSine:
             SignalSpec(1.0, 50.0, 1000.0, 0.0005)
         assert SignalSpec(1.0, 50.0, 44100.0, 30.0).n == 1_323_000
 
+    @pytest.mark.parametrize("duration", [0.100001, 0.0, math.inf, math.nan])
+    def test_sample_count_rejects_non_whole_lengths(self, duration):
+        with pytest.raises(ValueError, match="duration\\*rate must be a positive integer"):
+            simgen.sample_count(duration, 44100.0)
+        assert simgen.sample_count(0.1, 44100.0) == 4410
+
 
 def lfilter_ar1(phi, variance, n, seed):
     """gen_ar1's series as scipy.signal.lfilter computes it from the same innovations."""

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from snrsub.core import TimeSeries
 from snrsub.simgen import derive_seed, gen_design
 from snrsub.subsample import (
     ExcessiveSkipsError,
+    KTooLargeError,
     SubsampleConfig,
     block_estimate,
     confidence_interval,
@@ -65,6 +67,14 @@ class TestDrawBlocks:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             draw_blocks(100, 10, 92, seed=0)
+
+    def test_k_too_large_error_survives_pickling(self):
+        # raised in a pool worker, it must reach the parent intact
+        with pytest.raises(KTooLargeError) as info:
+            draw_blocks(100, 10, 92, seed=0)
+        back = pickle.loads(pickle.dumps(info.value))
+        assert isinstance(back, ValueError) and type(back) is KTooLargeError
+        assert str(back) == str(info.value) == "k=92 exceeds the 91 admissible block starts"
 
 
 class TestBlockEstimate:
