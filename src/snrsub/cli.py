@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .harness import SCHEMA_VERSION, ExperimentSpec, McReport, dump_json, mc_reports
+from .harness import (ORACLE_REPLICAS, SCHEMA_VERSION, ExperimentSpec, McReport, dump_json,
+                      mc_reports)
 from .simgen import (
     DESIGNS,
     SIGNAL_FREQ_HZ,
@@ -35,20 +36,21 @@ from .simgen import (
     gen_sine,
     sample_count,
 )
-from .smoother import MIN_BLOCK_SAMPLES
+from .smoother import MIN_BLOCK_SAMPLES, select_bandwidth
 from .subsample import (
     ExcessiveSkipsError,
     KTooLargeError,
     SubsampleConfig,
+    admissible_starts,
     confidence_interval,
+    cut_block,
     estimate_snr_distribution,
-    select_bandwidth_scaled,
     select_block_size,
 )
 
 THREADS_ENV = "SNRSUB_THREADS"
 
-DEFAULT_LEVELS = "0.1,0.25,0.5,0.75,0.9"
+DEFAULT_LEVELS = ",".join(f"{g:g}" for g in ExperimentSpec.levels)
 DEFAULT_CI = "0.9,0.95"
 
 
@@ -221,6 +223,14 @@ def _resolve_block_samples(args, fs_hz: float) -> int:
     return int(round(args.block_s * fs_hz))
 
 
+def _block_fits(n: int, b: int, k: int) -> bool:
+    try:
+        admissible_starts(n, b, k)
+    except ValueError:
+        return False
+    return True
+
+
 def _input_descriptor(args) -> InputDescriptor:
     fmt = args.format
     if fmt is None:
@@ -364,12 +374,13 @@ def cmd_select_block(args) -> int:
     threads = _threads(args)
     to_samples = {"ms": fs / 1000.0, "s": fs, "samples": 1.0}[args.grid_unit]
     raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
+    # k is checked before the screen; select_block_size sets b per candidate
+    cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
     cand = sorted({int(round(v * to_samples)) for v in raw})
-    cand = [b for b in cand if MIN_BLOCK_SAMPLES <= b <= series.n and args.k <= series.n - b + 1]
+    cand = [b for b in cand if b >= MIN_BLOCK_SAMPLES and _block_fits(series.n, b, args.k)]
     if len(cand) < 5:
         raise CliError("grid-infeasible",
                        f"grid reduces to {len(cand)} feasible candidates; need at least 5")
-    cfg = SubsampleConfig(b=cand[0], k_blocks=args.k, seed=args.seed, workers=threads)
     sel = select_block_size(series, cand, cfg)
 
     table = [
@@ -468,19 +479,9 @@ def cmd_mc(args) -> int:
 def cmd_bandwidth(args) -> int:
     series, _ = _load_series(args)
     b = _resolve_block_samples(args, series.sample_rate_hz)
-    start = args.start
-    if not (1 <= start and start + b - 1 <= series.n):
-        raise CliError("invalid-config",
-                       f"block [{start}, {start + b - 1}] outside series of length {series.n}")
-    block = series.samples[start - 1:start - 1 + b]
-    fit, exponent = select_bandwidth_scaled(block)
-    hs, cvs = zip(*fit.cv_curve)
-    with np.errstate(over="ignore"):  # a CV value past the float range reads inf
-        cvs = np.ldexp(cvs, 2 * exponent).tolist()
-    lines = ["h,cv,selected"]
-    for h, cv in zip(hs, cvs):
-        cv_text = "inf" if math.isinf(cv) else repr(cv)
-        lines.append(f"{h!r},{cv_text},{1 if h == fit.h_hat else 0}")
+    fit = select_bandwidth(cut_block(series, args.start, b))
+    lines = ["h,cv,selected"] + [f"{h!r},{cv!r},{1 if h == fit.h_hat else 0}"
+                                 for h, cv in fit.cv_curve]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -502,7 +503,7 @@ def _add_block_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=200, help="number of blocks")
+    p.add_argument("--k", type=int, default=ExperimentSpec.k_blocks, help="number of blocks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help=f"worker processes (default: ${THREADS_ENV} or 1)")
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True,
                    choices=[*DESIGNS, "sine-only", "noise-only"])
     p.add_argument("--snr", type=float, default=10.0, help="target SNR in dB")
-    p.add_argument("--fs", type=float, default=44100.0)
+    p.add_argument("--fs", type=float, default=ExperimentSpec.fs_hz)
     p.add_argument("--duration", type=float, required=True, help="seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["raw", "wav16"], default="raw")
@@ -560,12 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True, choices=list(DESIGNS))
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--metric", choices=["mse", "qmae", "both"], default="both")
-    p.add_argument("--fs", type=float, default=44100.0)
-    p.add_argument("--duration", type=float, default=3.0)
+    p.add_argument("--fs", type=float, default=ExperimentSpec.fs_hz)
+    p.add_argument("--duration", type=float, default=ExperimentSpec.duration_s)
     p.add_argument("--b-ms", default="10,15", help="block lengths in ms, comma-separated")
     _add_run_flags(p)
-    p.add_argument("--replicas", type=int, default=100)
-    p.add_argument("--oracle-replicas", type=int, default=4000)
+    p.add_argument("--replicas", type=int, default=ExperimentSpec.replicas)
+    p.add_argument("--oracle-replicas", type=int, default=ORACLE_REPLICAS)
     p.add_argument("--levels", default=DEFAULT_LEVELS)
     p.add_argument("--quick", action="store_true",
                    help="tiny smoke configuration (3 replicas, 0.5 s)")

@@ -67,6 +67,7 @@ ORACLE_SLAB_SAMPLES = 1 << 18  # noise samples generated per slab of oracle draw
 _POWER_CHUNK = 2048  # blocks per vectorized slab, bounds memory at large draw counts
 MSE_TARGETS = ("block", "global")
 SCHEMA_VERSION = 1  # of every JSON object the package writes: reports and CLI errors
+ORACLE_REPLICAS = 4000  # default oracle draws; like ExperimentSpec's field defaults, also the CLI's
 
 
 def dump_json(payload: dict) -> str:
@@ -302,7 +303,7 @@ def _mse_report(spec: ExperimentSpec, table: tuple, target: str) -> McReport:
 
 def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
                  replicas: int, seed: int,
-                 fs_hz: float = 44100.0, duration_s: float = 3.0,
+                 fs_hz: float = ExperimentSpec.fs_hz, duration_s: float = ExperimentSpec.duration_s,
                  noise_variance: float = 1.0) -> np.ndarray:
     """Draws of the per-block SNR statistic, in dB, with known signal and noise.
 
@@ -350,8 +351,8 @@ def _check_oracle_replicas(oracle_replicas: int) -> None:
 
 
 def oracle_quantiles(design: str, true_snr_db: float, b: int, b1: int | None,
-                     levels, replicas: int, seed: int,
-                     fs_hz: float = 44100.0, duration_s: float = 3.0,
+                     levels, replicas: int, seed: int, fs_hz: float = ExperimentSpec.fs_hz,
+                     duration_s: float = ExperimentSpec.duration_s,
                      noise_variance: float = 1.0) -> dict[float, float]:
     """Quantiles of ``oracle_draws``: the ground truth the estimated quantiles
     are compared against."""
@@ -360,7 +361,7 @@ def oracle_quantiles(design: str, true_snr_db: float, b: int, b1: int | None,
     return {float(g): empirical_quantile(snr, g) for g in levels}
 
 
-def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = 4000,
+def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = ORACLE_REPLICAS,
                  workers: int = 1) -> McReport:
     """Mean absolute deviation of estimated quantiles from the oracle, in dB.
 
@@ -379,7 +380,7 @@ def _qmae_report(spec: ExperimentSpec, table: tuple,
         for j, b in enumerate(spec.block_lengths) for i, g in enumerate(spec.levels)))
 
 
-def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = 4000,
+def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = ORACLE_REPLICAS,
                workers: int = 1) -> dict[str, McReport]:
     """The 'mse' and/or 'qmae' reports from a single pass over the replicas.
 
@@ -453,7 +454,7 @@ def exhaustive_subsample_check(series: TimeSeries, b: int, b1: int | None = None
     must equal the exhaustive one exactly; with smaller k it subsamples it.
     Only practical at small n (the exhaustive side smooths every block).
     """
-    n_starts = series.n - b + 1
+    n_starts = admissible_starts(series.n, b)
     if k is None:
         k = n_starts
     cfg = SubsampleConfig(b=b, k_blocks=k, seed=seed, b1=b1)

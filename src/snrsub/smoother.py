@@ -25,6 +25,7 @@ __all__ = [
     "KernelFit",
     "epanechnikov",
     "priestley_chao_fit",
+    "pow2_scaled",
     "autocovariance",
     "cv_objective",
     "select_bandwidth",
@@ -134,6 +135,14 @@ def priestley_chao_fit(y, h: float) -> np.ndarray:
     w, den, radius = _stencil(n, float(h))
     num = np.convolve(y, w, mode="full")[radius:radius + n]
     return num / den
+
+
+def pow2_scaled(y: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y * 2**-e, e), e the binary exponent of max|y|: an exact rescale to
+    magnitudes near 1, where sums of squares neither overflow nor underflow.
+    ``np.ldexp(x, e)`` scales a fitted value back, ``np.ldexp(x, 2*e)`` a power."""
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    return np.ldexp(y, -e), e
 
 
 def autocovariance(residuals, j: int) -> float:
@@ -338,11 +347,16 @@ def select_bandwidth(
     wins; a constant block is evaluated directly throughout.  The selected
     h, its fit and its residuals are therefore those of the direct
     per-candidate rule.
+
+    It runs on ``pow2_scaled(y)``; the fit, the residuals and the CV values
+    are scaled back exactly, so nothing depends on the scale of y (a CV value
+    past the float range reads inf).
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
     if n < MIN_BLOCK_SAMPLES:
         raise ValueError(f"need at least {MIN_BLOCK_SAMPLES} samples, got {n}")
+    y, e = pow2_scaled(y)
     if grid is None:
         grid = BandwidthGrid()
     plan = _cv_plan(n, grid, regime)
@@ -356,8 +370,11 @@ def select_bandwidth(
         best = _first_minimum(y, plan.hs, range(len(plan.hs)), curve)
     if best is None:
         raise ValueError("correction factor degenerate across grid")
-    _, h_hat, fitted, e, M = best
-    return KernelFit(fitted=fitted, residuals=e, h_hat=h_hat,
+    _, h_hat, fitted, residuals, M = best
+    with np.errstate(over="ignore"):
+        fitted, residuals = np.ldexp(fitted, e), np.ldexp(residuals, e)
+        curve = np.ldexp(curve, 2 * e).tolist()
+    return KernelFit(fitted=fitted, residuals=residuals, h_hat=h_hat,
                      cv_curve=tuple(zip(plan.hs, curve)), m_lags=M)
 
 

@@ -23,7 +23,7 @@ from .simgen import derive_rng, derive_seed
 from .smoother import (
     MIN_BLOCK_SAMPLES,
     BandwidthGrid,
-    KernelFit,
+    pow2_scaled,
     priestley_chao_fit,
     select_bandwidth,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "default_b1",
     "admissible_starts",
     "draw_blocks",
-    "select_bandwidth_scaled",
+    "cut_block",
     "block_estimate",
     "estimate_blocks",
     "estimate_snr_distribution",
@@ -63,6 +63,9 @@ class ExcessiveSkipsError(RuntimeError):
             f"{skipped} of {total} blocks skipped (budget {SKIP_BUDGET:.0%}); "
             "quantiles would be biased by silent mass-skipping"
         )
+
+    def __reduce__(self):  # pickle rebuilds from (skipped, total), not from the message
+        return type(self), (self.skipped, self.total)
 
 
 class KTooLargeError(ValueError):
@@ -194,25 +197,12 @@ def draw_blocks(n: int, b: int, k: int, seed: int) -> np.ndarray:
     return rng.choice(n_starts, size=k, replace=False).astype(np.int64) + 1
 
 
-def _pow2_scaled(block: np.ndarray) -> tuple[np.ndarray, int]:
-    """(block * 2**-e, e) with e the binary exponent of max|block|.
-
-    Scaling by a power of two is exact, so the fit, the CV argmin and the
-    SNR of the scaled block equal those of the block, while its magnitude
-    stays near 1, where sums of squares neither overflow nor underflow.
-    """
-    e = int(np.frexp(np.max(np.abs(block)))[1])
-    return np.ldexp(block, -e), e
-
-
-def select_bandwidth_scaled(block, grid: BandwidthGrid | None = None) -> tuple[KernelFit, int]:
-    """(select_bandwidth(block * 2**-e), e), e as in ``_pow2_scaled``.
-
-    The selected bandwidth is the block's own; ``np.ldexp(x, e)`` scales a
-    fitted value back, ``np.ldexp(x, 2*e)`` a power or a CV value.
-    """
-    scaled, e = _pow2_scaled(block)
-    return select_bandwidth(scaled, grid=grid), e
+def cut_block(series: TimeSeries, start: int, b: int) -> np.ndarray:
+    """The b samples of ``series`` from 1-based position ``start`` on; raises
+    unless the block holds at least one sample and lies inside the series."""
+    if not (1 <= start <= start + b - 1 <= series.n):
+        raise ValueError(f"block [{start}, {start + b - 1}] outside series of length {series.n}")
+    return series.samples[start - 1:start - 1 + b]
 
 
 def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
@@ -220,20 +210,18 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
     """Per-block statistics from raw block samples.
 
     Returns (signal_power, noise_variance, snr_db, h_hat); snr_db is NaN
-    when the block is skipped.  The fit runs on the block rescaled by a
-    power of two; the powers are scaled back exactly, so the statistics do
-    not depend on the input's scale.
+    when the block is skipped.  The powers are computed on
+    ``pow2_scaled(block)`` and scaled back exactly, so the statistics do not
+    depend on the input's scale.
     """
+    block, e = pow2_scaled(block)
     if shared_h is None:
-        fit, e = select_bandwidth_scaled(block, grid)
-        fitted, residuals, h = fit.fitted, fit.residuals, fit.h_hat
+        fit = select_bandwidth(block, grid=grid)
+        fitted, h = fit.fitted, fit.h_hat
     else:
-        block, e = _pow2_scaled(block)
-        fitted = priestley_chao_fit(block, shared_h)
-        residuals = block - fitted
-        h = shared_h
+        fitted, h = priestley_chao_fit(block, shared_h), shared_h
     u = float(fitted @ fitted) / fitted.size
-    v = float(np.var(residuals[:b1]))
+    v = float(np.var(block[:b1] - fitted[:b1]))
     with np.errstate(over="ignore"):  # a power past the float range reads inf
         power, variance = np.ldexp([u, v], 2 * e).tolist()
     if not v > VARIANCE_FLOOR * u:
@@ -289,9 +277,6 @@ def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> Subs
     CV-selected bandwidth; the residuals feeding the noise variance come from
     the first b1 points of the block.
     """
-    n = series.n
-    if not (1 <= start and start + cfg.b - 1 <= n):
-        raise ValueError(f"block [{start}, {start + cfg.b - 1}] outside series of length {n}")
     return estimate_blocks(series, [start], cfg).estimates[0]
 
 
@@ -303,10 +288,8 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
     No skip budget is applied.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    blocks = [series.samples[t - 1:t - 1 + cfg.b] for t in starts]
-    shared_h = None
-    if cfg.shared_bandwidth:
-        shared_h = select_bandwidth_scaled(blocks[0], cfg.grid)[0].h_hat
+    blocks = [cut_block(series, t, cfg.b) for t in starts.tolist()]
+    shared_h = select_bandwidth(blocks[0], grid=cfg.grid).h_hat if cfg.shared_bandwidth else None
     values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
                           cfg.workers)
     u, v, snr, h = (np.array(col, dtype=np.float64) for col in zip(*values))
@@ -369,9 +352,7 @@ def select_block_size(series: TimeSeries, candidates, cfg_template: SubsampleCon
         raise ValueError(f"need at least 5 candidate block lengths, got {len(cand)}")
     if any(b2 <= b1 for b1, b2 in zip(cand, cand[1:])):
         raise ValueError("candidate block lengths must be strictly increasing")
-    n = series.n
-    if cand[-1] > n or cfg_template.k_blocks > n - cand[-1] + 1:
-        raise ValueError("largest candidate infeasible for this series")
+    admissible_starts(series.n, cand[-1], cfg_template.k_blocks)
 
     q_low, q_high = [], []
     with _shared_pool(cfg_template.workers):

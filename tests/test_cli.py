@@ -516,6 +516,16 @@ ERROR_TABLE = {
     "bandwidth-block-too-short": (
         ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-samples", "8"],
         "invalid-config", "need at least 16 samples, got 8"),
+    "bandwidth-start-past-end": (
+        ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-samples", "441",
+         "--start", "11000"],
+        "invalid-config", "block [11000, 11440] outside series of length 11025"),
+    "bandwidth-block-too-long": (
+        ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-samples", "20000"],
+        "invalid-config", "block [1, 20000] outside series of length 11025"),
+    "bandwidth-block-negative": (
+        ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-samples", "-5"],
+        "invalid-config", "block [1, -5] outside series of length 11025"),
     "simulate-nyquist": (
         ["simulate", "--design", "ar", "--duration", "0.1", "--fs", "100", "--out", "{tmp}/x.raw"],
         "nyquist", "50 Hz signal violates Nyquist at rate 100.0 Hz"),

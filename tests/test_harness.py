@@ -339,6 +339,10 @@ class TestExhaustive:
         assert cmp.randomized.min() >= cmp.exhaustive.min()
         assert cmp.randomized.max() <= cmp.exhaustive.max()
 
+    def test_block_longer_than_series_is_rejected_by_the_fit_rule(self):
+        with pytest.raises(ValueError, match="^block length 74 exceeds series length 64$"):
+            exhaustive_subsample_check(self._series(), b=74)
+
     def test_ks_decreases_with_k(self):
         small, large = [], []
         for trial in range(20):

@@ -1,6 +1,7 @@
 """Package structure: module layering and import cost."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,12 @@ def imported_modules(path: Path) -> set[str]:
 def test_every_module_is_layered():
     modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"snrsub.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("module", LAYERS)

@@ -411,6 +411,17 @@ class TestBatchedCv:
         assert [smoother._smooth_length(t) for t in (1, 7, 17, 31, 5234, 5401)] == [
             1, 8, 18, 32, 5400, 5625]
 
+    @pytest.mark.parametrize("k", [530, -530, -1000])
+    @pytest.mark.parametrize("kind", ["white", "ar1", "powerlaw"])
+    def test_selection_does_not_depend_on_scale(self, kind, k):
+        # whole multiples of 2**-20, so even 2**-1000 times the block is exact
+        y = np.round(make_block(kind, 441, 17) * 2.0**20) / 2.0**20
+        unit = select_bandwidth(y)
+        fit = select_bandwidth(np.ldexp(y, k))
+        assert fit.h_hat == unit.h_hat
+        assert fit.fitted.tobytes() == np.ldexp(unit.fitted, k).tobytes()
+        assert fit.residuals.tobytes() == np.ldexp(unit.residuals, k).tobytes()
+
 
 class TestMiseProbe:
     def test_rate_under_srd(self):

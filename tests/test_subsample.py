@@ -15,8 +15,10 @@ from snrsub.subsample import (
     SubsampleConfig,
     block_estimate,
     confidence_interval,
+    cut_block,
     default_b1,
     draw_blocks,
+    estimate_blocks,
     estimate_snr_distribution,
     parallel_map,
     select_block_size,
@@ -75,6 +77,34 @@ class TestDrawBlocks:
         back = pickle.loads(pickle.dumps(info.value))
         assert isinstance(back, ValueError) and type(back) is KTooLargeError
         assert str(back) == str(info.value) == "k=92 exceeds the 91 admissible block starts"
+
+    def test_excessive_skips_error_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(ExcessiveSkipsError(3, 8)))
+        assert type(back) is ExcessiveSkipsError
+        assert (back.skipped, back.total) == (3, 8)
+        assert str(back) == str(ExcessiveSkipsError(3, 8))
+
+
+class TestBlockRange:
+    @pytest.mark.parametrize("start, message", [
+        (0, "block [0, 440] outside series of length 11025"),
+        (10925, "block [10925, 11365] outside series of length 11025"),
+    ])
+    def test_estimate_blocks_rejects_a_block_outside_the_series(self, start, message):
+        ts = ar_series()
+        with pytest.raises(ValueError) as info:
+            estimate_blocks(ts, [1, start], SubsampleConfig(b=441, k_blocks=2))
+        assert str(info.value) == message
+
+    def test_last_block_is_accepted(self):
+        ts = ar_series()
+        dist = estimate_blocks(ts, [ts.n - 440], SubsampleConfig(b=441, k_blocks=1))
+        assert dist.kept.tolist() == [True]
+
+    @pytest.mark.parametrize("b", [0, -5])
+    def test_cut_block_rejects_an_empty_block(self, b):
+        with pytest.raises(ValueError, match="outside series of length 11025"):
+            cut_block(ar_series(), 1, b)
 
 
 class TestBlockEstimate:
@@ -353,3 +383,11 @@ class TestSelectBlockSize:
             select_block_size(ts, [100, 200, 200, 300, 400], cfg)
         with pytest.raises(ValueError):
             select_block_size(ts, [100, 200, 300, 400, 10**6], cfg)
+
+    def test_infeasible_largest_candidate_reports_the_fit_rule(self):
+        ts = ar_series(duration=0.1)  # 4410 samples
+        cfg = SubsampleConfig(b=100, k_blocks=8, seed=0)
+        with pytest.raises(ValueError, match="^block length 5000 exceeds series length 4410$"):
+            select_block_size(ts, [100, 200, 300, 400, 5000], cfg)
+        with pytest.raises(KTooLargeError, match="^k=8 exceeds the 4 admissible block starts$"):
+            select_block_size(ts, [100, 200, 300, 400, 4407], cfg)
