@@ -79,6 +79,9 @@ def read_input(desc: InputDescriptor) -> TimeSeries:
 
     WAV amplitudes are scaled to [-1, 1) by 1/32768 and the header rate is
     used unless overridden; CSV and raw files require an explicit rate.
+    WAV and CSV are loaded whole; a raw file is memory-mapped and read only
+    in chunks and blocks (see ``TimeSeries``), so it must not change while
+    the series is in use.
     """
     if desc.format == "wav16":
         return _read_wav16(desc)
@@ -140,10 +143,9 @@ def _read_raw(desc: InputDescriptor) -> TimeSeries:
     size = os.path.getsize(desc.path)
     if size % 8:
         raise ValueError(f"raw: {size} bytes in {desc.path} is not a whole number of float64 samples")
-    samples = np.fromfile(desc.path, dtype="<f8")
-    if samples.size == 0:
+    if size == 0:  # checked here: np.memmap refuses an empty file
         raise ValueError(f"raw: zero samples in {desc.path}")
-    return TimeSeries(samples, desc.sample_rate_hz)
+    return TimeSeries(np.memmap(desc.path, dtype="<f8", mode="r"), desc.sample_rate_hz)
 
 
 def write_raw_f64le(path: str, samples: np.ndarray) -> None:

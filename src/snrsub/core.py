@@ -1,13 +1,16 @@
 """Domain types and scalar math shared by every other module.
 
 Decibel conversion, signal power, the dependence-regime scaling sequences
-that set bandwidth ranges and convergence rates, and the lower-order-statistic
-empirical quantile.
+that set bandwidth ranges and convergence rates, the lower-order-statistic
+empirical quantile, and reads of a series' samples from the file it maps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +25,56 @@ __all__ = [
     "tau_n",
     "empirical_quantile",
     "signal_power",
+    "mapped_file",
+    "sample_reader",
 ]
+
+CHECK_CHUNK_SAMPLES = 1 << 16  # samples per finiteness-check read (512 KB), whatever n is
+
+
+def mapped_file(samples) -> tuple[str, int] | None:
+    """(path, byte offset) of ``samples`` if it is a 1-D float64 ``np.memmap``
+    as ``np.memmap`` returns it, else None.  A view or copy of one does not
+    count: only the array made over the file knows where it starts."""
+    if (isinstance(samples, np.memmap) and isinstance(samples.base, mmap.mmap)
+            and samples.filename is not None and samples.dtype == np.float64
+            and samples.ndim == 1):
+        return os.fspath(samples.filename), samples.offset
+    return None
+
+
+@contextlib.contextmanager
+def sample_reader(samples: np.ndarray):
+    """Yields ``read(i, m, out=None)``: the m samples from 0-based position i.
+
+    For a file-backed ``samples`` (``mapped_file``) each call is one
+    positioned read from the file, opened here once, into ``out`` or a new
+    array; the mapping itself is never touched, so no page of the file
+    becomes resident in the process.  Otherwise ``read`` returns a view.
+    """
+    source = mapped_file(samples)
+    if source is None:
+        yield lambda i, m, out=None: samples[i:i + m]
+        return
+    path, offset = source
+    with open(path, "rb") as f:
+        def read(i: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.empty(m) if out is None else out[:m]
+            got = os.preadv(f.fileno(), [out], offset + 8 * i)
+            if got != out.nbytes:
+                raise OSError(f"{path}: {got} of {out.nbytes} bytes read at sample {i}; "
+                              "the file changed while it was in use")
+            return out
+        yield read
+
+
+def _all_finite(samples: np.ndarray) -> bool:
+    """Whether every sample is finite, read CHECK_CHUNK_SAMPLES at a time into
+    one buffer, so that the check holds one chunk however long the series."""
+    buf = np.empty(min(CHECK_CHUNK_SAMPLES, samples.size))
+    with sample_reader(samples) as read:
+        return all(np.isfinite(read(i, min(CHECK_CHUNK_SAMPLES, samples.size - i), buf)).all()
+                   for i in range(0, samples.size, CHECK_CHUNK_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -34,16 +86,25 @@ class TimeSeries:
     the logical times i/n on the unit interval, so all bandwidths and block
     statistics are independent of the physical rate; the rate is kept for
     unit conversions (ms <-> samples) and file I/O.
+
+    A float64 ``np.memmap`` over a file (``mapped_file``; ``cli.read_input``
+    gives one for raw input) is kept mapped and never read whole: the
+    finiteness check reads it a chunk at a time, and ``subsample.cut_block``
+    a block at a time, both through ``sample_reader``.  The file must not
+    change while the series is in use.  Any other ``samples`` is taken as
+    ``np.ascontiguousarray(samples, np.float64)``, so a memmap of another
+    dtype is copied into memory.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.samples, dtype=np.float64)
+        arr = (self.samples if mapped_file(self.samples)
+               else np.ascontiguousarray(self.samples, dtype=np.float64))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("samples contain non-finite values")
         if not (self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")

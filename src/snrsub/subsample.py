@@ -5,20 +5,20 @@ its own local time grid, forms the per-block SNR from the fitted signal
 power and the residual variance over a short secondary window, and exposes
 the K values as an empirical distribution with quantile and confidence
 interval accessors.  No step ever computes over the full series, so cost is
-governed by the block length rather than the sample size.
+governed by the block length rather than the sample size; a series over a
+file is read only block by block (``cut_block``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .core import TimeSeries, empirical_quantile
+from .core import TimeSeries, empirical_quantile, sample_reader
 from .simgen import derive_rng, derive_seed
 from .smoother import (
     MIN_BLOCK_SAMPLES,
@@ -197,12 +197,21 @@ def draw_blocks(n: int, b: int, k: int, seed: int) -> np.ndarray:
     return rng.choice(n_starts, size=k, replace=False).astype(np.int64) + 1
 
 
-def cut_block(series: TimeSeries, start: int, b: int) -> np.ndarray:
+def cut_block(series: TimeSeries, start: int, b: int, read=None) -> np.ndarray:
     """The b samples of ``series`` from 1-based position ``start`` on; raises
-    unless the block holds at least one sample and lies inside the series."""
+    unless the block holds at least one sample and lies inside the series.
+
+    An in-memory series gives a view.  A series over a file (see
+    ``TimeSeries``) gives a copy made with one positioned read, by ``read``
+    from an open ``core.sample_reader(series.samples)`` or, when None, from
+    a reader opened for this block alone.
+    """
     if not (1 <= start <= start + b - 1 <= series.n):
         raise ValueError(f"block [{start}, {start + b - 1}] outside series of length {series.n}")
-    return series.samples[start - 1:start - 1 + b]
+    if read is not None:
+        return read(start - 1, b)
+    with sample_reader(series.samples) as read:
+        return read(start - 1, b)
 
 
 def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
@@ -235,7 +244,7 @@ def call(fn, args: tuple):
     return fn(*args)
 
 
-_POOLS: dict[int, ProcessPoolExecutor] = {}  # worker count -> pool of an open ``_shared_pool``
+_POOLS: dict = {}  # worker count -> ProcessPoolExecutor of an open ``_shared_pool``
 
 
 @contextlib.contextmanager
@@ -245,6 +254,8 @@ def _shared_pool(workers: int):
     if workers <= 1 or workers in _POOLS:
         yield
         return
+    # imported here, not at module load: about 20 ms that serial runs never need
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         _POOLS[workers] = pool
         try:
@@ -285,14 +296,18 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
 
     Blocks run over ``cfg.workers`` processes; with ``cfg.shared_bandwidth``
     the bandwidth cross-validated on the first block serves every block.
+    A series over a file is read block by block from one open reader, so
+    only the K blocks are ever in memory.  No starts give empty columns.
     No skip budget is applied.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    blocks = [cut_block(series, t, cfg.b) for t in starts.tolist()]
-    shared_h = select_bandwidth(blocks[0], grid=cfg.grid).h_hat if cfg.shared_bandwidth else None
+    with sample_reader(series.samples) as read:
+        blocks = [cut_block(series, t, cfg.b, read) for t in starts.tolist()]
+    shared_h = (select_bandwidth(blocks[0], grid=cfg.grid).h_hat
+                if cfg.shared_bandwidth and blocks else None)
     values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
                           cfg.workers)
-    u, v, snr, h = (np.array(col, dtype=np.float64) for col in zip(*values))
+    u, v, snr, h = np.array(values, dtype=np.float64).reshape(len(blocks), 4).T.copy()
     return SnrDistribution(starts, u, v, snr, h, ~np.isnan(snr), cfg)
 
 

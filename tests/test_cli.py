@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import struct
 import subprocess
@@ -103,10 +104,13 @@ class TestReadInput:
             read_input(InputDescriptor(str(path), "csv"))
 
     def test_raw_roundtrip_bit_identical(self, tmp_path, rng):
-        samples = rng.normal(size=257)
+        # three whole check chunks and a partial one, ending in special values
+        special = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300]
+        samples = np.concatenate([rng.normal(size=3 * 65536 + 7), special])
         path = make_raw(tmp_path, samples)
         ts = read_input(InputDescriptor(path, "raw_f64le", sample_rate_hz=100.0))
-        np.testing.assert_array_equal(ts.samples, samples)
+        assert ts.samples.tobytes() == np.fromfile(path, dtype="<f8").tobytes()
+        assert ts.samples.tobytes() == samples.tobytes()
 
     def test_raw_empty(self, tmp_path):
         path = tmp_path / "e.raw"
@@ -337,6 +341,36 @@ class TestEstimate:
         assert error["code"] == "bad-input"
         assert "176397 bytes" in error["message"]
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_raw_recording_is_not_held_in_memory(self, tmp_path):
+        # The child reads its own high-water mark (a parent's rusage would include the
+        # parent's). A first estimate on a short file loads the code paths, whose pages
+        # count too, so that the growth measured is what the long recording costs.
+        rng = np.random.default_rng(11)
+        short, long = tmp_path / "short.raw", tmp_path / "long.raw"
+        rng.normal(size=100_000).tofile(short)
+        with open(long, "wb") as f:
+            for _ in range(8):  # 4 M samples, 32 MB, written 4 MB at a time
+                rng.normal(size=500_000).astype("<f8").tofile(f)
+        code = (
+            "import sys\n"
+            "import snrsub.cli\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:')) * 1024\n"
+            "def estimate(path):\n"
+            "    return snrsub.cli.main(['estimate', '--input', path, '--fs', '44100',\n"
+            "        '--block-samples', '662', '--k', '200', '--out', path + '.json'])\n"
+            "assert estimate(sys.argv[1]) == 0\n"
+            "before = hwm()\n"
+            "assert estimate(sys.argv[2]) == 0\n"
+            "print(hwm() - before)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code, str(short), str(long)],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < long.stat().st_size / 4
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate", "--input", "/nonexistent.raw", "--fs", "100",
@@ -495,7 +529,8 @@ class TestBandwidthCmd:
 
 
 # Every failure path reaches ``main``'s error JSON: (argv, code, message).
-# {raw} and {wav} are 0.25 s AR recordings (11025 samples), {flat} 4000 zeros
+# {raw} and {wav} are 0.25 s AR recordings (11025 samples), {flat} 4000 zeros,
+# {nan} 3999 ones and a NaN, {empty} an empty file
 # at 1 kHz, {tmp} a scratch directory.
 ERROR_TABLE = {
     "missing-input": (
@@ -600,6 +635,12 @@ ERROR_TABLE = {
         ["estimate", "--input", "{flat}", "--fs", "1000", "--block-samples", "441", "--k", "8"],
         "excessive-skips",
         "8 of 8 blocks skipped (budget 10%); quantiles would be biased by silent mass-skipping"),
+    "estimate-empty-raw": (
+        ["estimate", "--input", "{empty}", "--fs", "44100", "--block-samples", "441"],
+        "bad-input", "raw: zero samples in {empty}"),
+    "estimate-non-finite-raw": (
+        ["estimate", "--input", "{nan}", "--fs", "44100", "--block-samples", "441"],
+        "bad-input", "samples contain non-finite values"),
     "estimate-partial-raw-sample": (
         ["estimate", "--input", "{wav}", "--format", "raw", "--fs", "44100",
          "--block-samples", "441"],
@@ -618,7 +659,11 @@ def recordings(tmp_path_factory):
         assert main(["simulate", "--design", "ar", "--duration", "0.25", "--seed", "3",
                      "--format", fmt, "--out", str(tmp / name)]) == 0
     write_raw_f64le(str(tmp / "flat.raw"), np.zeros(4000))
-    return {"raw": str(tmp / "ar.raw"), "wav": str(tmp / "ar.wav"), "flat": str(tmp / "flat.raw")}
+    write_raw_f64le(str(tmp / "nan.raw"), np.append(np.ones(3999), math.nan))
+    (tmp / "empty.raw").write_bytes(b"")
+    return {name: str(tmp / file) for name, file in (
+        ("raw", "ar.raw"), ("wav", "ar.wav"), ("flat", "flat.raw"), ("nan", "nan.raw"),
+        ("empty", "empty.raw"))}
 
 
 class TestErrorTable:

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snrsub.core import (
+    CHECK_CHUNK_SAMPLES,
     SRD,
     DependenceRegime,
     TimeSeries,
     empirical_quantile,
     lambda_n,
     lrd,
+    mapped_file,
     signal_power,
     snr_db,
     tau_n,
@@ -175,3 +177,39 @@ class TestTimeSeries:
         assert ts.duration_s == 2.0
         assert ts.samples.dtype == np.float64
         assert not ts.samples.flags.writeable
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, CHECK_CHUNK_SAMPLES - 1, CHECK_CHUNK_SAMPLES, -1])
+    def test_non_finite_sample_found_in_any_check_chunk(self, tmp_path, mapped, bad, where):
+        # two whole check chunks and a partial one; the bad sample sits on either
+        # side of the first chunk boundary, or first or last in the series
+        samples = np.linspace(-1.0, 1.0, 2 * CHECK_CHUNK_SAMPLES + 5)
+        samples[where] = bad
+        if mapped:
+            samples.tofile(tmp_path / "x.f64")
+            samples = np.memmap(tmp_path / "x.f64", dtype="<f8", mode="r")
+        with pytest.raises(ValueError, match="^samples contain non-finite values$"):
+            TimeSeries(samples, 1.0)
+
+    def test_float64_memmap_stays_mapped(self, tmp_path):
+        np.arange(5.0).tofile(tmp_path / "x.f64")
+        mm = np.memmap(tmp_path / "x.f64", dtype="<f8", mode="r")
+        ts = TimeSeries(mm, 1.0)
+        assert ts.samples is mm
+        assert mapped_file(ts.samples) == (str(tmp_path / "x.f64"), 0)
+
+    @pytest.mark.parametrize("dtype", [">f8", "<f4", "<i2"])
+    def test_memmap_of_another_dtype_is_converted(self, tmp_path, dtype):
+        np.arange(-2, 3).astype(dtype).tofile(tmp_path / "x.bin")
+        ts = TimeSeries(np.memmap(tmp_path / "x.bin", dtype=dtype, mode="r"), 1.0)
+        assert type(ts.samples) is np.ndarray and ts.samples.dtype == np.float64
+        assert mapped_file(ts.samples) is None
+        assert ts.samples.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+    def test_view_of_a_memmap_is_not_read_from_the_file(self, tmp_path):
+        # a view does not know its place in the file, so it is never read from there
+        np.arange(6.0).tofile(tmp_path / "x.f64")
+        view = np.memmap(tmp_path / "x.f64", dtype="<f8", mode="r")[2:]
+        assert mapped_file(view) is None
+        assert TimeSeries(view, 1.0).samples.tolist() == [2.0, 3.0, 4.0, 5.0]

@@ -56,6 +56,13 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert run.returncode == 0, run.stderr or "scipy.signal was imported"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # a pool is started only by parallel_map at more than one worker
+    code = "import sys, snrsub.cli; sys.exit('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
+
+
 def test_no_module_imports_scipy():
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

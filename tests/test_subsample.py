@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snrsub.core import TimeSeries
+from snrsub.core import CHECK_CHUNK_SAMPLES, TimeSeries, mapped_file
 from snrsub.simgen import derive_seed, gen_design
 from snrsub.subsample import (
     ExcessiveSkipsError,
@@ -27,6 +27,12 @@ from snrsub.subsample import (
 
 def ar_series(duration=0.25, snr=10.0, seed=3, fs=44100.0):
     return gen_design("ar", snr, fs, duration, seed=seed)
+
+
+def mapped(series, path):
+    """The same series, read from a raw float64 file at ``path``."""
+    series.samples.tofile(path)
+    return TimeSeries(np.memmap(path, dtype="<f8", mode="r"), series.sample_rate_hz)
 
 
 class TestConfig:
@@ -105,6 +111,52 @@ class TestBlockRange:
     def test_cut_block_rejects_an_empty_block(self, b):
         with pytest.raises(ValueError, match="outside series of length 11025"):
             cut_block(ar_series(), 1, b)
+
+    @pytest.mark.parametrize("start, b", [
+        (1, 441),  # the first block
+        (CHECK_CHUNK_SAMPLES - 200, 441),  # across the first check-chunk boundary
+        (2 * CHECK_CHUNK_SAMPLES + 17 - 441 + 1, 441),  # the last block
+        (1, 2 * CHECK_CHUNK_SAMPLES + 17),  # the whole series
+    ])
+    def test_mapped_block_equals_the_slice(self, tmp_path, start, b):
+        ts = TimeSeries(np.random.default_rng(1).normal(size=2 * CHECK_CHUNK_SAMPLES + 17), 1.0)
+        ms = mapped(ts, tmp_path / "x.f64")
+        assert mapped_file(ms.samples) is not None
+        want = ts.samples[start - 1:start - 1 + b].tobytes()
+        block = cut_block(ms, start, b)
+        assert type(block) is np.ndarray and block.tobytes() == want
+        assert cut_block(ts, start, b).tobytes() == want
+
+    def test_mapped_block_from_a_shrunken_file_raises(self, tmp_path):
+        ms = mapped(ar_series(), tmp_path / "x.f64")
+        with open(tmp_path / "x.f64", "r+b") as f:
+            f.truncate(8 * (ms.n - 100))
+        assert cut_block(ms, 1, 441).size == 441
+        with pytest.raises(OSError, match="the file changed while it was in use"):
+            cut_block(ms, ms.n - 440, 441)
+
+
+class TestEstimateBlocks:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_no_starts_give_empty_columns(self, shared):
+        dist = estimate_blocks(ar_series(), [], SubsampleConfig(b=441, k_blocks=1,
+                                                                shared_bandwidth=shared))
+        columns = (dist.starts, dist.signal_power, dist.noise_variance, dist.snr_db,
+                   dist.h_hat, dist.kept)
+        assert [c.shape for c in columns] == [(0,)] * 6
+        assert (dist.starts.dtype, dist.kept.dtype) == (np.int64, bool)
+        assert (dist.count, dist.skipped, dist.estimates) == (0, 0, ())
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mapped_series_gives_the_same_bytes(self, tmp_path, shared, workers):
+        ts = ar_series(duration=1.0)
+        cfg = SubsampleConfig(b=441, k_blocks=24, seed=6, workers=workers,
+                              shared_bandwidth=shared)
+        want = estimate_snr_distribution(ts, cfg)
+        got = estimate_snr_distribution(mapped(ts, tmp_path / "x.f64"), cfg)
+        for name in ("starts", "signal_power", "noise_variance", "snr_db", "h_hat", "kept"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestBlockEstimate:
@@ -336,11 +388,13 @@ class TestSelectBlockSize:
         assert len(sel.q_low) == len(cand) == len(sel.q_high)
 
     def test_one_pool_for_all_candidates(self, monkeypatch):
+        import concurrent.futures
+
         import snrsub.subsample as sub
 
         started = []
 
-        class CountingPool(sub.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
@@ -349,7 +403,7 @@ class TestSelectBlockSize:
         cand = [int(round(ms * 44.1)) for ms in (4, 8, 12, 16, 20)]
         cfg = SubsampleConfig(b=100, k_blocks=24, seed=5)
         want = select_block_size(ts, cand, cfg)
-        monkeypatch.setattr(sub, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         assert select_block_size(ts, cand, replace(cfg, workers=2)) == want
         assert started == [2] and not sub._POOLS
 
