@@ -64,7 +64,7 @@ _STREAM_ORACLE = 2
 
 ORACLE_NOISE_LEN = 4096  # synthesis length from which oracle noise windows are cut
 ORACLE_SLAB_SAMPLES = 1 << 18  # noise samples generated per slab of oracle draws, bounds memory
-_POWER_CHUNK = 2048  # blocks per vectorized slab, bounds memory at large draw counts
+_POWER_CHUNK_SAMPLES = 1 << 15  # block samples per chunk of true block powers (256 KB), bounds memory
 MSE_TARGETS = ("block", "global")
 SCHEMA_VERSION = 1  # of every JSON object the package writes: reports and CLI errors
 ORACLE_REPLICAS = 4000  # default oracle draws; like ExperimentSpec's field defaults, also the CLI's
@@ -186,17 +186,31 @@ def replica_distribution(spec: ExperimentSpec, b: int, replica: int) -> SnrDistr
 def _true_block_power(amp: float, starts: np.ndarray, b: int, fs_hz: float) -> np.ndarray:
     """True signal power mean(s**2) over each block of the design sine.
 
-    ``starts`` is an integer array of 1-based block starts; the sine is
-    sampled as in ``simgen.gen_sine``.  A block spanning a whole number of
-    periods of sin**2 has power A**2/2 at every start; any other block length
-    has a power that depends on the phase at which the block starts.
+    ``starts`` is an integer array of 1-based block starts.  Sample i of the
+    sine is amp * sin(2*pi*50 * (i - 1) / fs), multiplied before it is
+    divided, where ``simgen.gen_sine`` divides first: the two round
+    differently, and 48,034 of the 132,300 samples of a 3 s unit sine differ
+    in their last bits.  Do not merge them into one helper, which would move
+    every MSE and oracle value.  A block spanning a whole number of periods
+    of sin**2 has power A**2/2 at every start; any other block length has a
+    power that depends on the phase at which the block starts.
+
+    The expression is evaluated in place, on one buffer of about
+    ``_POWER_CHUNK_SAMPLES`` samples, a chunk of whole blocks at a time.
     """
     offsets = np.arange(b)
+    rows = max(1, _POWER_CHUNK_SAMPLES // b)
+    buf = np.empty((min(rows, starts.size), b))
     out = np.empty(starts.size)
-    for lo in range(0, starts.size, _POWER_CHUNK):
-        idx = starts[lo:lo + _POWER_CHUNK, None] + offsets[None, :]
-        s = amp * np.sin(2.0 * np.pi * SIGNAL_FREQ_HZ * (idx - 1) / fs_hz)
-        out[lo:lo + _POWER_CHUNK] = np.mean(s * s, axis=1)
+    for lo in range(0, starts.size, rows):
+        s = buf[:min(rows, starts.size - lo)]
+        np.add(starts[lo:lo + rows, None] - 1, offsets, out=s)
+        s *= 2.0 * np.pi * SIGNAL_FREQ_HZ
+        s /= fs_hz
+        np.sin(s, out=s)
+        s *= amp
+        np.square(s, out=s)
+        np.mean(s, axis=1, out=out[lo:lo + s.shape[0]])
     return out
 
 
@@ -314,8 +328,8 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
     noise, whose synthesis rescales to an exact sample variance, is cut from
     the start of an ``ORACLE_NOISE_LEN``-point synthesis.  The generator
     yields the starts first, then the noise of each draw in turn; the noise
-    is generated a slab of draws at a time, with the values one draw at a
-    time would give.
+    is generated a slab of draws at a time, on work arrays allocated once
+    per call, with the values one draw at a time would give.
     """
     _check_oracle_replicas(replicas)
     if b1 is None:
@@ -327,10 +341,8 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
     starts = rng.integers(1, n_starts + 1, size=replicas)
     u = _true_block_power(amp, starts, b, fs_hz)
     draw_len, slab = _oracle_slab(noise.kind, b1)
-    v = np.concatenate([
-        np.var(noise.sample_rows(min(slab, replicas - lo), draw_len, rng)[:, :b1], axis=1)
-        for lo in range(0, replicas, slab)
-    ])
+    v = np.concatenate([np.var(rows[:, :b1], axis=1)
+                        for rows in noise.slabs(replicas, draw_len, slab, rng)])
     return 10.0 * np.log10(u / v)
 
 

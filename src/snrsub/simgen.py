@@ -8,6 +8,7 @@ independent and insensitive to evaluation order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 
 AR1_BURN_IN = 1000
 SIGNAL_FREQ_HZ = 50.0
+_IRFFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # np.fft.irfft takes out=
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -133,13 +135,22 @@ class NoiseSpec:
 
     def sample_rows(self, rows: int, n: int, seed) -> np.ndarray:
         """(rows, n) array whose rows equal ``rows`` consecutive ``sample(n, rng)``
-        calls on one generator, bit for bit, generated a slab at a time."""
+        calls on one generator, bit for bit: ``slabs`` with one slab."""
+        return next(self.slabs(rows, n, max(rows, 1), seed), np.empty((0, n)))
+
+    def slabs(self, count: int, n: int, slab: int, seed) -> Iterator[np.ndarray]:
+        """The rows of ``sample_rows(count, n, seed)``, ``slab`` rows at a time.
+
+        Every work array is allocated once, for the first slab, and refilled
+        for the next, so the yielded (rows, n) array is overwritten when the
+        iteration resumes; copy what must outlive it.
+        """
         rng = _as_rng(seed)
         if self.kind == "white":
-            return rng.normal(0.0, math.sqrt(self.variance), size=(rows, n))
+            return _white_slabs(math.sqrt(self.variance), count, n, slab, rng)
         if self.kind == "ar1":
-            return _ar1_rows(self.phi, self.variance, rows, n, rng)
-        return _powerlaw_rows(self.beta, self.variance, rows, n, rng)
+            return _ar1_slabs(self.phi, self.variance, count, n, slab, rng)
+        return _powerlaw_slabs(self.beta, self.variance, count, n, slab, rng)
 
     def describe(self) -> dict:
         """Kind, variance and the kind's own parameter, as a manifest records them."""
@@ -177,9 +188,18 @@ def calibrate_amplitude(target_snr_db: float, noise_variance: float) -> float:
 
 def gen_sine(spec: SignalSpec) -> TimeSeries:
     """Sampled sinusoid A*sin(2*pi*f*t) at t = (i-1)/rate, i = 1..n."""
-    t = np.arange(spec.n) / spec.sample_rate_hz
-    return TimeSeries(spec.amplitude * np.sin(2.0 * np.pi * spec.frequency_hz * t),
-                      spec.sample_rate_hz)
+    return TimeSeries(_sine_samples(spec), spec.sample_rate_hz)
+
+
+def _sine_samples(spec: SignalSpec) -> np.ndarray:
+    """The samples of ``gen_sine``, computed in place on one array with the
+    bits of ``A * sin(2*pi*f * (arange(n) / rate))``."""
+    x = np.arange(spec.n, dtype=np.float64)
+    x /= spec.sample_rate_hz
+    x *= 2.0 * np.pi * spec.frequency_hz
+    np.sin(x, out=x)
+    x *= spec.amplitude
+    return x
 
 
 def gen_ar1(phi: float, target_variance: float, n: int, seed) -> np.ndarray:
@@ -261,52 +281,106 @@ def gen_powerlaw(beta: float, target_variance: float, n: int, seed) -> np.ndarra
     """
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return _powerlaw_rows(beta, target_variance, 1, n, _as_rng(seed))[0]
+    return next(_powerlaw_slabs(beta, target_variance, 1, n, 1, _as_rng(seed)))[0]
 
 
-def _powerlaw_rows(beta: float, target_variance: float, rows: int, n: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """``rows`` consecutive ``gen_powerlaw`` series from one generator, bit for bit.
+def _normal_into(rng: np.random.Generator, sd: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the bits of ``rng.normal(0.0, sd, out.shape)``:
+    numpy draws that as 0.0 + sd * z from the stream ``standard_normal``
+    draws, so the same sum, -0.0 turned to 0.0 included, is made in place."""
+    rng.standard_normal(out=out)
+    out *= sd
+    out += 0.0
+
+
+def _white_slabs(sd: float, count: int, n: int, slab: int,
+                 rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``count`` rows of Normal(0, sd**2) noise, ``slab`` rows at a time."""
+    x = np.empty((min(slab, count), n))
+    for lo in range(0, count, slab):
+        rows = x[:min(slab, count - lo)]
+        _normal_into(rng, sd, rows)
+        yield rows
+
+
+def _powerlaw_slabs(beta: float, target_variance: float, count: int, n: int, slab: int,
+                    rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``count`` consecutive ``gen_powerlaw`` series from one generator, bit
+    for bit, ``slab`` rows at a time.
 
     One (rows, 2, n//2) normal draw is the same stream as ``rows`` draws of
     (2, n//2), and the row-wise irfft, mean and scaling round as the one-row
     calls do; each row's sum of squares stays its own dot product, since a
-    row-wise einsum rounds differently.
+    row-wise einsum rounds differently.  The last slab frees the draws and
+    the scale before the output is allocated, so a single series never
+    holds its draws, its coefficients and its output at once.
     """
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
     nf = n // 2 + 1
-    k = np.arange(1, nf, dtype=np.float64)
-    p = k ** (-beta)
-    g = rng.normal(size=(rows, 2, nf - 1))
-    coef = np.zeros((rows, nf), dtype=np.complex128)
-    scale = np.sqrt(0.5 * p)
-    # the real and imaginary parts written in place: the same bits as
-    # scale * (g0 + 1j * g1), without its three complex temporaries
-    np.multiply(scale, g[:, 0], out=coef.real[:, 1:])
-    np.multiply(scale, g[:, 1], out=coef.imag[:, 1:])
-    if n % 2 == 0:
-        coef[:, -1] = np.sqrt(p[-1]) * g[:, 0, -1]
-    x = np.fft.irfft(coef, n, axis=-1)
-    x -= x.mean(axis=1, keepdims=True)
-    for r in x:
-        r *= math.sqrt(target_variance * n / float(r @ r))
-    return x
+    scale = np.arange(1, nf, dtype=np.float64)
+    scale **= -beta  # the spectrum p = k**(-beta), then sqrt(0.5 * p), in place
+    nyquist = np.sqrt(scale[-1])
+    scale *= 0.5
+    np.sqrt(scale, out=scale)
+    first = min(slab, count)
+    g = np.empty((first, 2, nf - 1))
+    coef = np.zeros((first, nf), dtype=np.complex128)
+    x = None  # allocated after the draws of a single slab are freed
+    for lo in range(0, count, slab):
+        rows = min(slab, count - lo)
+        _normal_into(rng, 1.0, g[:rows])
+        # the real and imaginary parts written in place: the same bits as
+        # scale * (g0 + 1j * g1), without its three complex temporaries
+        np.multiply(scale, g[:rows, 0], out=coef.real[:rows, 1:])
+        np.multiply(scale, g[:rows, 1], out=coef.imag[:rows, 1:])
+        if n % 2 == 0:
+            coef[:rows, -1] = nyquist * g[:rows, 0, -1]
+        if lo + rows == count:
+            del g, scale
+        if x is None:
+            x = np.empty((first, n))
+        xs = _irfft_rows(coef[:rows], n, x[:rows])
+        xs -= xs.mean(axis=1, keepdims=True)
+        for r in xs:
+            r *= math.sqrt(target_variance * n / float(r @ r))
+        yield xs
 
 
-def _ar1_rows(phi: float, target_variance: float, rows: int, n: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """``rows`` consecutive ``gen_ar1`` series from one generator, bit for bit.
+def _irfft_rows(coef: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``np.fft.irfft(coef, n, axis=-1)`` written into ``out``: in place from
+    NumPy 2.0, which added the argument, and copied on NumPy 1.x."""
+    if _IRFFT_OUT:
+        return np.fft.irfft(coef, n, axis=-1, out=out)
+    out[...] = np.fft.irfft(coef, n, axis=-1)
+    return out
+
+
+def _ar1_slabs(phi: float, target_variance: float, count: int, n: int, slab: int,
+               rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``count`` consecutive ``gen_ar1`` series from one generator, bit for
+    bit, ``slab`` rows at a time.
 
     One ``_ar1_steps`` loop over the n + AR1_BURN_IN time steps runs every
-    row, as a column of a time-major copy.
+    row of a slab, as a column of a time-major copy of its innovations.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sd = math.sqrt(target_variance * (1.0 - phi * phi))
-    u = rng.normal(0.0, sd, size=(rows, n + AR1_BURN_IN)).T.copy()  # time-major
-    _ar1_steps(u, phi)
-    return np.ascontiguousarray(u[AR1_BURN_IN:].T)
+    first = min(slab, count)
+    u = np.empty((first, n + AR1_BURN_IN))
+    steps = np.empty(u.size)  # the time-major copy, reshaped to each slab's rows
+    x = np.empty((first, n))
+    for lo in range(0, count, slab):
+        rows = min(slab, count - lo)
+        ur = u[:rows]
+        _normal_into(rng, sd, ur)
+        t = steps[:ur.size].reshape(ur.shape[::-1])
+        t[...] = ur.T
+        _ar1_steps(t, phi)
+        xs = x[:rows]
+        xs[...] = t[AR1_BURN_IN:].T
+        yield xs
 
 
 def gen_design(design: str, target_snr_db: float, fs_hz: float, duration_s: float,
@@ -315,10 +389,12 @@ def gen_design(design: str, target_snr_db: float, fs_hz: float, duration_s: floa
     calibrated to the exact target SNR.
 
     The sine amplitude is tuned against the noise target variance, so the
-    true SNR is a constant of the construction.
+    true SNR is a constant of the construction.  The sine is added into the
+    noise array in place.
     """
     amp = calibrate_amplitude(target_snr_db, noise_variance)
     noise = design_noise(design, noise_variance)
     spec = SignalSpec(amp, SIGNAL_FREQ_HZ, fs_hz, duration_s)
     samples = noise.sample(spec.n, seed)
-    return TimeSeries(gen_sine(spec).samples + samples, fs_hz)
+    samples += _sine_samples(spec)
+    return TimeSeries(samples, fs_hz)

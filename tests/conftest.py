@@ -1,5 +1,7 @@
 """Shared test helpers: independent brute-force oracles kept deliberately dumb."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,13 @@ def periodogram_slope(x, kmin=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced by tracemalloc while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

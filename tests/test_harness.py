@@ -19,6 +19,8 @@ from snrsub.harness import (
 from snrsub.simgen import calibrate_amplitude, derive_rng, design_noise, gen_design
 from snrsub.subsample import ExcessiveSkipsError, KTooLargeError, default_b1
 
+from conftest import traced_peak
+
 
 def tiny_spec(**kw):
     defaults = dict(
@@ -104,6 +106,11 @@ class TestOracleQuantiles:
             got = oracle_draws(design, 6.0, b, None, count, seed=count)
             assert got.tobytes() == reference_oracle_draws(design, 6.0, b, count, count).tobytes()
 
+    @pytest.mark.parametrize("design", ["ar", "p2"])
+    def test_working_memory_is_one_slab_and_one_power_chunk(self, design):
+        _, peak = traced_peak(oracle_draws, design, 6.0, 662, None, 4000, 9)
+        assert peak <= 10 * 2**20
+
     def test_slab_sizes(self):
         import snrsub.harness as harness
 
@@ -126,18 +133,47 @@ class TestOracleQuantiles:
         assert q == {g: empirical_quantile(draws, g) for g in (0.1, 0.9)}
 
 
+def reference_block_power(amp, starts, b, fs):
+    """Each block's mean(s**2), one whole-array expression per block."""
+    out = np.empty(len(starts))
+    for j, start in enumerate(starts):
+        s = amp * np.sin(2.0 * np.pi * 50.0 * (start + np.arange(b)[None, :] - 1) / fs)
+        out[j] = np.mean(s * s, axis=1)[0]
+    return out
+
+
 def reference_oracle_draws(design, snr, b, replicas, seed, fs=44100.0, duration=3.0):
     """The oracle one draw at a time: all starts first, then each draw's noise."""
-    import snrsub.harness as harness
-
     noise = design_noise(design, 1.0)
     b1 = default_b1(b)
     draw_len = b1 if noise.kind == "ar1" else 4096
     rng = derive_rng(seed)
     starts = rng.integers(1, int(round(duration * fs)) - b + 2, size=replicas)
-    u = harness._true_block_power(calibrate_amplitude(snr, 1.0), starts, b, fs)
+    u = reference_block_power(calibrate_amplitude(snr, 1.0), starts, b, fs)
     v = np.array([np.var(noise.sample(draw_len, rng)[:b1]) for _ in range(replicas)])
     return 10.0 * np.log10(u / v)
+
+
+class TestTrueBlockPower:
+    N = 132_300  # a 3 s series at 44.1 kHz
+
+    @pytest.mark.parametrize("b,count", [
+        (441, 200),      # 74 blocks per chunk: 200 is not a multiple
+        (662, 4000),
+        (16, 5000),      # the shortest block
+        (40_000, 3),     # a block longer than one chunk
+        (441, 0),        # no starts
+    ])
+    def test_bits_of_the_whole_array_expression(self, b, count):
+        import snrsub.harness as harness
+
+        starts = derive_rng(b).integers(1, self.N - b + 2, size=count)
+        if count:
+            starts[0], starts[-1] = 1, self.N - b + 1  # first and last admissible start
+        for amp in (1.0, calibrate_amplitude(6.0, 1.0)):
+            got = harness._true_block_power(amp, starts, b, 44100.0)
+            assert got.shape == (count,)
+            assert got.tobytes() == reference_block_power(amp, starts, b, 44100.0).tobytes()
 
 
 class TestMseReport:

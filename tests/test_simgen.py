@@ -22,7 +22,7 @@ from snrsub.simgen import (
     gen_sine,
 )
 
-from conftest import periodogram_slope
+from conftest import periodogram_slope, traced_peak
 
 
 class TestCalibrateAmplitude:
@@ -56,6 +56,12 @@ class TestGenSine:
     def test_zero_amplitude(self):
         ts = gen_sine(SignalSpec(0.0, 50.0, 1000.0, 0.1))
         assert np.all(ts.samples == 0.0)
+
+    @pytest.mark.parametrize("amp,f,fs,dur", [(2.3, 50.0, 44100.0, 3.0), (1.0, 1000.0, 8000.0, 0.5)])
+    def test_bits_of_the_whole_array_expression(self, amp, f, fs, dur):
+        t = np.arange(simgen.sample_count(dur, fs)) / fs
+        want = amp * np.sin(2.0 * np.pi * f * t)
+        assert gen_sine(SignalSpec(amp, f, fs, dur)).samples.tobytes() == want.tobytes()
 
     def test_first_sample_is_zero(self):
         ts = gen_sine(SignalSpec(2.0, 50.0, 44100.0, 0.01))
@@ -198,6 +204,12 @@ class TestGenPowerlaw:
         assert x.shape == (n,)
         assert hashlib.sha256(x.tobytes()).hexdigest()[:32] == sha
 
+    def test_irfft_copied_where_numpy_has_no_out(self, monkeypatch):
+        spec = NoiseSpec.powerlaw(0.6, 1.0)
+        want = spec.sample_rows(3, 4096, 7)
+        monkeypatch.setattr(simgen, "_IRFFT_OUT", False)  # the NumPy 1.x path
+        assert spec.sample_rows(3, 4096, 7).tobytes() == want.tobytes()
+
 
 class TestNoiseSpec:
     def test_validation(self):
@@ -230,6 +242,15 @@ class TestNoiseSpec:
         got = spec.sample_rows(rows, n, derive_rng(12))
         assert got.shape == (rows, n) and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [NoiseSpec.white(2.0), NoiseSpec.ar1(-0.7, 1.0),
+                                      NoiseSpec.powerlaw(0.6, 1.0)])
+    @pytest.mark.parametrize("count,slab", [(0, 4), (1, 4), (7, 3), (8, 4), (5, 8)])
+    def test_slabs_cut_sample_rows(self, spec, count, slab):
+        got = [rows.copy() for rows in spec.slabs(count, 64, slab, derive_rng(4))]
+        assert [r.shape[0] for r in got] == [min(slab, count - lo) for lo in range(0, count, slab)]
+        want = spec.sample_rows(count, 64, derive_rng(4))
+        assert np.concatenate(got or [np.empty((0, 64))]).tobytes() == want.tobytes()
 
     def test_sample_rows_bounds(self):
         with pytest.raises(ValueError):
@@ -286,6 +307,13 @@ class TestGenDesign:
     def test_nyquist(self):
         with pytest.raises(ValueError):
             gen_design("ar", 10.0, 80.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize("design", ["ar", "p2"])
+    def test_working_memory_is_a_few_series(self, design):
+        # the sine is built in place and added into the noise, and the
+        # power-law synthesis frees its draws before the inverse FFT
+        ts, peak = traced_peak(gen_design, design, 6.0, 44100.0, 30.0, 3)
+        assert peak <= 3.5 * ts.samples.nbytes
 
 
 class TestSeedDerivation:
