@@ -154,16 +154,18 @@ def autocovariance(residuals, j: int) -> float:
     return float(e[:n - j] @ e[j:]) / n
 
 
-def _correction_factor(e: np.ndarray, n: int, h: float, M: int) -> float:
-    """1 - (1/(nh)) * sum_{|j|<=M} K(j/(nh)) * rho_hat(j) from residuals e.
+def _correction_factor(padded: np.ndarray, centre: float, lag_weights: np.ndarray,
+                       nh: float) -> float:
+    """1 - (1/(nh)) * sum_{|j|<=m} K(j/(nh)) * rho_hat(j) from residuals e.
 
-    K vanishes past the stencil radius floor(nh), so lags stop at min(M, radius).
+    ``padded`` is e followed by m = ``lag_weights.size`` zeros, ``centre`` is
+    K(0) and ``lag_weights`` holds K(j/(nh)) for j = 1..m; the
+    autocovariances of lags 0..m are direct lag products of e.
     """
-    w, _, radius = _stencil(n, float(h))
-    m = min(M, radius)
-    g = np.correlate(np.concatenate([e, np.zeros(m)]), e, "valid")  # g[j] = sum_t e_t e_{t+j}
-    acc = w[radius] + 2.0 * (w[radius + 1:radius + 1 + m] @ (g[1:] / g[0]))
-    return 1.0 - float(acc) / (n * h)
+    g = np.correlate(padded, padded[:padded.size - lag_weights.size], "valid")  # sum_t e_t e_{t+j}
+    rho = g[1:]
+    rho /= g[0]
+    return 1.0 - (centre + 2.0 * float(lag_weights.dot(rho))) / nh
 
 
 def _cv_eval(y: np.ndarray, h: float, M: int):
@@ -176,7 +178,11 @@ def _cv_eval(y: np.ndarray, h: float, M: int):
     mse = float(e @ e) / y.size
     if mse == 0.0:
         return 0.0, fitted, e
-    factor = _correction_factor(e, y.size, h, M)
+    # K vanishes past the stencil radius floor(nh), so lags stop at min(M, radius)
+    w, _, radius = _stencil(y.size, float(h))
+    lags = w[radius + 1:radius + 1 + min(M, radius)]
+    factor = _correction_factor(np.concatenate([e, np.zeros(lags.size)]), float(w[radius]), lags,
+                                y.size * h)
     if factor < CORRECTION_FLOOR:
         return math.inf, fitted, e
     return mse / (factor * factor), fitted, e
@@ -243,22 +249,18 @@ class _CvPlan:
     holds the real rfft of each kernel stencil placed circularly at offset 0
     in ``length`` samples, ``length`` >= n + the largest radius, so the
     circular convolution equals the linear one on the n fitted points;
-    ``den`` the boundary weight sums; ``centre`` is K(0).  The correction
-    factor's lag sum sum_{1<=j<=m} 2*K(j/(nh)) * g_j, with m = min(M, radius)
-    and g_j = sum_t e_t e_{t+j}, equals sum_k P_k * ``lag_spectra[k]`` for
-    the power spectrum P of the residuals zero-padded to ``length``, since
-    m <= radius keeps the circular autocovariances equal to the linear ones.
-    One length for both transforms keeps numpy's FFT plan cache to one
-    entry per block length.
+    ``den`` the boundary weight sums; ``centre`` is K(0) and ``lag_weights``
+    K(j/(nh)) for j = 1..min(M, radius), the weights of the correction
+    factor's lag sum.
     """
 
     hs: tuple[float, ...]
     index: np.ndarray
-    nh: np.ndarray
+    nh: tuple[float, ...]
     spectra: np.ndarray
     den: np.ndarray
-    centre: np.ndarray
-    lag_spectra: np.ndarray
+    centre: tuple[float, ...]
+    lag_weights: tuple[np.ndarray, ...]
     length: int
 
 
@@ -268,20 +270,12 @@ def _cv_plan(n: int, grid: BandwidthGrid, regime: DependenceRegime | None) -> _C
     index = [i for i, h in enumerate(hs) if int(n * h) >= 1]
     radii = [int(math.floor(n * hs[i])) for i in index]
     length = _smooth_length(n + max(radii, default=0))
-    lags = [min(_lag_cutoff(n, hs[i]), r) for i, r in zip(index, radii)]
-    # g_j = sum_k P_k cos(2 pi j k / N) / N over all N bins; an rfft bin other
-    # than 0 and N/2 stands for two of them
-    fold = np.full(length // 2 + 1, 2.0 / length)
-    fold[0] = 1.0 / length
-    if length % 2 == 0:
-        fold[-1] = 1.0 / length
     spectra = np.empty((len(index), length // 2 + 1))
     den = np.empty((len(index), n))
-    centre = np.empty(len(index))
-    lag_spectra = np.empty((len(index), length // 2 + 1))
-    kern, lag_kern = np.zeros(length), np.zeros(length)
+    centre, lag_weights = [], []
+    kern = np.zeros(length)
     pos = np.arange(n)
-    for k, (i, r, m) in enumerate(zip(index, radii, lags)):
+    for k, (i, r) in enumerate(zip(index, radii)):
         w = epanechnikov(np.arange(-r, r + 1) / (n * hs[i]))
         kern[:] = 0.0
         kern[:r + 1] = w[r:]
@@ -289,21 +283,18 @@ def _cv_plan(n: int, grid: BandwidthGrid, regime: DependenceRegime | None) -> _C
         spectra[k] = np.fft.rfft(kern).real  # w is symmetric, so its spectrum is real
         csum = np.concatenate(([0.0], np.cumsum(w)))
         den[k] = csum[np.minimum(2 * r, r + pos) + 1] - csum[np.maximum(0, r + pos - n + 1)]
-        centre[k] = w[r]
-        lag_kern[:] = 0.0
-        lag_kern[1:m + 1] = 2.0 * w[r + 1:r + 1 + m]
-        lag_spectra[k] = np.fft.rfft(lag_kern).real * fold  # sum_j lag_kern[j] cos(2 pi j k / N)
-    nh = n * np.asarray(hs)[index]
-    return _CvPlan(hs, np.array(index, dtype=np.int64), nh, spectra, den, centre,
-                   lag_spectra, length)
+        centre.append(float(w[r]))
+        lag_weights.append(w[r + 1:r + 1 + min(_lag_cutoff(n, hs[i]), r)].copy())
+    return _CvPlan(hs, np.array(index, dtype=np.int64), tuple(n * hs[i] for i in index), spectra,
+                   den, tuple(centre), tuple(lag_weights), length)
 
 
 def _fft_cv(y: np.ndarray, plan: _CvPlan):
     """(cv, mse, factor) of every plan row from FFT fits of y.
 
     One rfft of y serves every row; rows are fitted a batch at a time, and
-    each batch's residual lag sums come from one more rfft of its residual
-    matrix.
+    each row's correction factor comes from direct lag products of its
+    residuals, by the rule the direct fit uses.
     """
     n, rows = y.size, plan.index.size
     mse, factor = np.empty(rows), np.zeros(rows)
@@ -311,18 +302,19 @@ def _fft_cv(y: np.ndarray, plan: _CvPlan):
     batch = max(1, CV_BATCH_SAMPLES // plan.length)
     for lo in range(0, rows, batch):
         sl = slice(lo, min(lo + batch, rows))
-        e = np.fft.irfft(plan.spectra[sl] * spec_y, plan.length, axis=1)[:, :n]
+        padded = np.fft.irfft(plan.spectra[sl] * spec_y, plan.length, axis=1)
+        e = padded[:, :n]
         e /= plan.den[sl]
         np.subtract(y, e, out=e)
+        padded[:, n:] = 0.0
         energy = np.einsum("ij,ij->i", e, e)
         mse[sl] = energy / n
-        parts = np.fft.rfft(e, plan.length, axis=1).view(np.float64)
-        np.square(parts, out=parts)  # (re**2, im**2) per bin: the power spectrum in two halves
-        lagged = (np.einsum("ij,ij->i", parts[:, 0::2], plan.lag_spectra[sl])
-                  + np.einsum("ij,ij->i", parts[:, 1::2], plan.lag_spectra[sl]))
-        ok = energy > 0.0  # else the factor is undefined; CV_RESIDUAL_FLOOR sends the row direct
-        acc = plan.centre[sl] + lagged / np.where(ok, energy, 1.0)
-        factor[sl] = np.where(ok, 1.0 - acc / plan.nh[sl], 0.0)
+        flat = padded.reshape(-1)  # row k starts at (k - lo) * length
+        for k, en in enumerate(energy.tolist(), lo):
+            if en > 0.0:  # else the factor is undefined; CV_RESIDUAL_FLOOR sends the row direct
+                lags, start = plan.lag_weights[k], (k - lo) * plan.length
+                factor[k] = _correction_factor(flat[start:start + n + lags.size], plan.centre[k],
+                                               lags, plan.nh[k])
     cv = np.full(rows, math.inf)
     valid = factor >= CORRECTION_FLOOR
     cv[valid] = mse[valid] / (factor[valid] * factor[valid])

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from snrsub.cli import InputDescriptor, main, read_input, write_raw_f64le, write_wav16
+from snrsub.harness import dump_json
+
+from conftest import traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +120,38 @@ class TestReadInput:
         path.write_bytes(b"")
         with pytest.raises(ValueError, match="zero samples"):
             read_input(InputDescriptor(str(path), "raw_f64le", sample_rate_hz=1.0))
+
+
+def wav16_one_shot(path, samples, fs_hz):
+    """The whole-series form of ``write_wav16``: the reference for its bytes."""
+    limit = 32767.0 / 32768.0
+    peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+    gain = 1.0 if peak <= limit else limit / peak
+    ints = np.clip(np.rint(samples * gain * 32768.0), -32768, 32767).astype("<i2")
+    with wave.open(path, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(int(round(fs_hz)))
+        wf.writeframes(ints.tobytes())
+    return gain
+
+
+class TestWriteWav16:
+    @pytest.mark.parametrize("n,scale", [(1, 0.5), (1000, 3.0), (3 * (1 << 16) + 7, 0.2),
+                                         (3 * (1 << 16) + 7, 40.0), ((1 << 16), 1.0)])
+    def test_bytes_equal_the_one_shot_expression(self, tmp_path, n, scale):
+        samples = np.random.default_rng(n).standard_normal(n) * scale
+        samples[n // 2] = -scale * 9.0  # the peak, negative, in a middle chunk
+        want = wav16_one_shot(str(tmp_path / "a.wav"), samples, 44100.0)
+        got = write_wav16(str(tmp_path / "b.wav"), samples, 44100.0)
+        assert got == want
+        assert (tmp_path / "b.wav").read_bytes() == (tmp_path / "a.wav").read_bytes()
+
+    def test_working_memory_is_bounded(self, tmp_path):
+        samples = np.random.default_rng(1).standard_normal(1 << 20) * 4.0  # 8 MB, gain < 1
+        gain, peak = traced_peak(write_wav16, str(tmp_path / "w.wav"), samples, 44100.0)
+        assert gain < 1.0
+        assert peak < 0.15 * samples.nbytes
 
 
 class TestSimulate:
@@ -287,6 +322,19 @@ class TestEstimate:
         )
         assert code == 0
         assert "timings" in json.loads(stdout)
+
+    def test_timings_leave_the_default_report_as_it_was(self, tmp_path, capsys):
+        path, _ = simulate_ar(tmp_path, capsys)
+        args = ("estimate", "--input", path, "--fs", "44100", "--block-ms", "10", "--k", "16")
+        code, default, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, timed, _ = run_cli(capsys, *args, "--timings")
+        assert code == 0
+        report = json.loads(timed)
+        timings = report.pop("timings")
+        assert set(timings) == {"read_s", "estimate_s", "threads"}
+        assert timings["read_s"] >= 0.0 and timings["estimate_s"] >= 0.0
+        assert dump_json(report) == default
 
     def test_snr_csv_written(self, tmp_path, capsys):
         path, _ = simulate_ar(tmp_path, capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -406,6 +407,44 @@ class TestBatchedCv:
         assert fit.h_hat == direct_selection(y)[2]
         select_bandwidth(make_block("white", 300, 5))
         assert smoother._cv_plan.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("batch", [None, 1])
+    @pytest.mark.parametrize("n", [16, 17, 64, 441, 4410])
+    def test_fft_factor_is_the_lag_rule_on_fft_residuals(self, monkeypatch, n, batch):
+        if batch is not None:
+            monkeypatch.setattr(smoother, "CV_BATCH_SAMPLES", batch)  # one candidate per batch
+        y = smoother.pow2_scaled(make_block("ar1", n, 8))[0]
+        plan = smoother._cv_plan(n, BandwidthGrid(), None)
+        _, _, factor = smoother._fft_cv(y, plan)
+        spec_y = np.fft.rfft(y, plan.length)
+        at_radius = 0
+        for k, i in enumerate(plan.index.tolist()):
+            h = plan.hs[i]
+            radius = int(math.floor(n * h))
+            lags = plan.lag_weights[k]
+            assert lags.size == min(smoother._lag_cutoff(n, h), radius)
+            at_radius += lags.size == radius
+            fit = np.fft.irfft(plan.spectra[k] * spec_y, plan.length)[:n] / plan.den[k]
+            e = np.concatenate([y - fit, np.zeros(lags.size)])
+            assert factor[k] == smoother._correction_factor(e, plan.centre[k], lags, plan.nh[k])
+        if n <= 64:  # short blocks have candidates whose lags reach the stencil radius
+            assert at_radius > 0
+        assert "lag_spectra" not in {f.name for f in dataclasses.fields(smoother._CvPlan)}
+
+    @pytest.mark.parametrize("n", [16, 64, 441, 4410])
+    def test_direct_factor_keeps_its_arithmetic(self, n):
+        y = make_block("powerlaw", n, 9)
+        for h in BandwidthGrid().values(n).tolist():
+            M = smoother._lag_cutoff(n, h)
+            cv, fitted, e = smoother._cv_eval(y, h, M)
+            if fitted is None or not math.isfinite(cv):
+                continue
+            w, _, radius = smoother._stencil(n, h)
+            m = min(M, radius)  # reference: the direct rule's lag sum written out in full
+            g = np.correlate(np.concatenate([e, np.zeros(m)]), e, "valid")
+            acc = w[radius] + 2.0 * (w[radius + 1:radius + 1 + m] @ (g[1:] / g[0]))
+            factor = 1.0 - float(acc) / (n * h)
+            assert cv == float(e @ e) / n / (factor * factor)
 
     def test_smooth_lengths(self):
         assert [smoother._smooth_length(t) for t in (1, 7, 17, 31, 5234, 5401)] == [
