@@ -210,7 +210,8 @@ def _lag_cutoff(n: int, h: float) -> int:
 
 
 # rows x padded length of one batch of candidate fits; bounds the transient
-# arrays of a batch, not the cached plan, which holds every row
+# arrays of a batch, not the cached plan, which holds every row.  2**16 halves
+# those arrays but was slower per block at b = 44100 (BENCH_15.json)
 CV_BATCH_SAMPLES = 1 << 18
 # FFT CV values within this share of (min CV + mean(y**2)) of the minimum, and
 # correction factors within CV_GUARD_BAND of CORRECTION_FLOOR, are decided by
@@ -363,9 +364,10 @@ def select_bandwidth(
     if best is None:
         raise ValueError("correction factor degenerate across grid")
     _, h_hat, fitted, residuals, M = best
-    with np.errstate(over="ignore"):
-        fitted, residuals = np.ldexp(fitted, e), np.ldexp(residuals, e)
-        curve = np.ldexp(curve, 2 * e).tolist()
+    if e:  # a block already scaled, as on the block path, needs no scaling back
+        with np.errstate(over="ignore"):
+            fitted, residuals = np.ldexp(fitted, e), np.ldexp(residuals, e)
+            curve = np.ldexp(curve, 2 * e).tolist()
     return KernelFit(fitted=fitted, residuals=residuals, h_hat=h_hat,
                      cv_curve=tuple(zip(plan.hs, curve)), m_lags=M)
 

@@ -5,16 +5,20 @@ its own local time grid, forms the per-block SNR from the fitted signal
 power and the residual variance over a short secondary window, and exposes
 the K values as an empirical distribution with quantile and confidence
 interval accessors.  No step ever computes over the full series, so cost is
-governed by the block length rather than the sample size; a series over a
-file is read only block by block (``cut_block``).
+governed by the block length rather than the sample size.  A series over a
+file is read only block by block (``cut_block``), each block as it is
+fitted, so memory follows the block length, not the sample size or K.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,6 +55,9 @@ __all__ = [
 # undefined at 0); relative, so the floor does not depend on the input's scale
 VARIANCE_FLOOR = 1e-12
 SKIP_BUDGET = 0.10
+# samples per task of a pooled ``estimate_blocks``; with 2 * workers tasks in
+# flight this bounds the blocks a parallel run holds, whatever K is
+POOL_CHUNK_SAMPLES = 1 << 18
 
 
 class ExcessiveSkipsError(RuntimeError):
@@ -203,8 +210,9 @@ def cut_block(series: TimeSeries, start: int, b: int, read=None) -> np.ndarray:
 
     An in-memory series gives a view.  A series over a file (see
     ``TimeSeries``) gives a copy made with one positioned read, by ``read``
-    from an open ``core.sample_reader(series.samples)`` or, when None, from
-    a reader opened for this block alone.
+    from an open ``core.sample_reader(series.samples)``, into whatever array
+    that ``read`` fills, or, when None, into a new array from a reader opened
+    for this block alone.
     """
     if not (1 <= start <= start + b - 1 <= series.n):
         raise ValueError(f"block [{start}, {start + b - 1}] outside series of length {series.n}")
@@ -244,6 +252,11 @@ def call(fn, args: tuple):
     return fn(*args)
 
 
+def _call_chunk(fn, chunk: list[tuple]) -> list:
+    """[fn(*args) for args in chunk]: one task of ``parallel_imap``'s pool."""
+    return [call(fn, args) for args in chunk]
+
+
 _POOLS: dict = {}  # worker count -> ProcessPoolExecutor of an open ``_shared_pool``
 
 
@@ -264,21 +277,53 @@ def _shared_pool(workers: int):
             del _POOLS[workers]
 
 
-def parallel_map(fn, arg_tuples: list[tuple], workers: int) -> list:
-    """[fn(*args) for args in arg_tuples], over ``workers`` processes if > 1.
+def parallel_imap(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1) -> Iterator:
+    """fn(*args) for each tuple of the iterable ``arg_tuples``, yielded lazily
+    in input order, over ``workers`` processes if > 1.
 
-    Results come back in input order, so they never depend on the worker
+    Serially each tuple is read just before its call.  A pool gets tasks of
+    ``chunk`` tuples and holds at most 2 * ``workers`` of them submitted and
+    not yet finished, so at most that many chunks are read ahead of the calls
+    whatever the length of ``arg_tuples``.  Results never depend on the worker
     count; ``fn`` and its arguments must be picklable.  No more processes
     start than there are calls.  Each tuple is passed whole, so tuples of
-    different lengths work as they do serially.
+    different lengths work as they do serially.  If reading ``arg_tuples`` or
+    a call raises, the tasks not yet started are cancelled before the
+    exception reaches the caller.
     """
-    workers = min(workers, len(arg_tuples))
-    if workers <= 1:
-        return [call(fn, args) for args in arg_tuples]
-    chunk = max(1, len(arg_tuples) // (4 * workers))
+    args = iter(arg_tuples)
+    head = list(itertools.islice(args, workers)) if workers > 1 else []
+    if len(head) <= 1:
+        for a in itertools.chain(head, args):
+            yield call(fn, a)
+        return
+    from concurrent.futures import FIRST_COMPLETED, wait
+    workers = len(head)
+    items = itertools.chain(head, args)
     with _shared_pool(workers):
         pool = _POOLS[workers]
-        return list(pool.map(call, [fn] * len(arg_tuples), arg_tuples, chunksize=chunk))
+        ordered, running = collections.deque(), set()
+        parts = iter(lambda: list(itertools.islice(items, chunk)), [])
+        try:
+            # a chunk is read only once fewer than 2 * workers are running
+            for future in map(partial(pool.submit, _call_chunk, fn), parts):
+                ordered.append(future)
+                running.add(future)
+                if len(running) >= 2 * workers:
+                    running = wait(running, return_when=FIRST_COMPLETED).not_done
+                while ordered and ordered[0].done():
+                    yield from ordered.popleft().result()
+            while ordered:
+                yield from ordered.popleft().result()
+        finally:  # on an exception: cancel what has not started, wait for the rest
+            for future in running:
+                future.cancel()
+            wait(running)
+
+
+def parallel_map(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1) -> list:
+    """``list(parallel_imap(fn, arg_tuples, workers, chunk))``."""
+    return list(parallel_imap(fn, arg_tuples, workers, chunk))
 
 
 def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> SubsampleEstimate:
@@ -296,18 +341,26 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
 
     Blocks run over ``cfg.workers`` processes; with ``cfg.shared_bandwidth``
     the bandwidth cross-validated on the first block serves every block.
-    A series over a file is read block by block from one open reader, so
-    only the K blocks are ever in memory.  No starts give empty columns.
-    No skip budget is applied.
+    Each block is cut as it is fitted, so the blocks held at once do not
+    depend on K: a series over a file is read from one open reader, serially
+    into one reused buffer, and over a pool in chunks of at most
+    ``POOL_CHUNK_SAMPLES`` samples, at most 2 * workers chunks at a time.
+    No starts give empty columns.  No skip budget is applied.
     """
     starts = np.asarray(starts, dtype=np.int64)
+    columns = np.empty((4, starts.size))
     with sample_reader(series.samples) as read:
-        blocks = [cut_block(series, t, cfg.b, read) for t in starts.tolist()]
-    shared_h = (select_bandwidth(blocks[0], grid=cfg.grid).h_hat
-                if cfg.shared_bandwidth and blocks else None)
-    values = parallel_map(_block_values, [(blk, cfg.b1, cfg.grid, shared_h) for blk in blocks],
-                          cfg.workers)
-    u, v, snr, h = np.array(values, dtype=np.float64).reshape(len(blocks), 4).T.copy()
+        if cfg.workers == 1:  # each block is fitted before the next is read
+            read = partial(read, out=np.empty(cfg.b))
+        shared_h = (select_bandwidth(cut_block(series, int(starts[0]), cfg.b, read),
+                                     grid=cfg.grid).h_hat
+                    if cfg.shared_bandwidth and starts.size else None)
+        args = ((cut_block(series, t, cfg.b, read), cfg.b1, cfg.grid, shared_h)
+                for t in map(int, starts))
+        chunk = max(1, min(starts.size // (4 * cfg.workers), POOL_CHUNK_SAMPLES // cfg.b))
+        for i, values in enumerate(parallel_imap(_block_values, args, cfg.workers, chunk)):
+            columns[:, i] = values
+    u, v, snr, h = columns
     return SnrDistribution(starts, u, v, snr, h, ~np.isnan(snr), cfg)
 
 

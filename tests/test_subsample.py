@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import os
 import pickle
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from snrsub.core import CHECK_CHUNK_SAMPLES, TimeSeries, mapped_file
 from snrsub.simgen import derive_seed, gen_design
 from snrsub.subsample import (
+    POOL_CHUNK_SAMPLES,
     ExcessiveSkipsError,
     KTooLargeError,
     SubsampleConfig,
@@ -24,6 +29,8 @@ from snrsub.subsample import (
     select_block_size,
 )
 
+from conftest import traced_peak
+
 
 def ar_series(duration=0.25, snr=10.0, seed=3, fs=44100.0):
     return gen_design("ar", snr, fs, duration, seed=seed)
@@ -33,6 +40,13 @@ def mapped(series, path):
     """The same series, read from a raw float64 file at ``path``."""
     series.samples.tofile(path)
     return TimeSeries(np.memmap(path, dtype="<f8", mode="r"), series.sample_rate_hz)
+
+
+def wait_for(path, value):
+    """``value`` once ``path`` exists: a call that holds its worker until then."""
+    while not os.path.exists(path):
+        time.sleep(0.005)
+    return value
 
 
 class TestConfig:
@@ -157,6 +171,23 @@ class TestEstimateBlocks:
         got = estimate_snr_distribution(mapped(ts, tmp_path / "x.f64"), cfg)
         for name in ("starts", "signal_power", "noise_variance", "snr_db", "h_hat", "kept"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_block_memory_does_not_grow_with_k(self, tmp_path):
+        b = 4410
+        ms = mapped(ar_series(duration=2.0, seed=11), tmp_path / "x.f64")
+        starts = draw_blocks(ms.n, b, 400, seed=4)
+        peak = {}
+        for workers in (1, 2):
+            cfg = SubsampleConfig(b=b, k_blocks=400, workers=workers)
+            estimate_blocks(ms, starts, cfg)  # fills the plan and stencil caches first
+            for k in (20, 400):
+                peak[workers, k] = traced_peak(estimate_blocks, ms, starts[:k], cfg)[1]
+        # serially one block is resident whatever K is: less than one block apart
+        assert abs(peak[1, 400] - peak[1, 20]) < 8 * b, peak
+        # a pool holds at most 2 * workers chunks, plus the pickled copy of one
+        # being sent, which may transiently be twice its size
+        window = (2 * 2 + 2) * POOL_CHUNK_SAMPLES * 8
+        assert peak[2, 20] < window and peak[2, 400] < window, peak
 
 
 class TestBlockEstimate:
@@ -323,6 +354,68 @@ class TestParallelMap:
     def test_tuples_of_different_lengths_are_passed_whole(self, workers):
         # a transposed pool.map would cut (2, 10, 1000) to pow(2, 10)
         assert parallel_map(pow, [(2, 10), (2, 10, 1000), (3, 4)], workers) == [1024, 24, 81]
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_generator_comes_back_in_input_order(self, workers, chunk):
+        got = parallel_map(pow, ((i, 2) for i in range(20)), workers, chunk)
+        assert got == [i * i for i in range(20)]
+
+    def test_serial_path_reads_each_item_just_before_its_call(self):
+        events = []
+
+        def items():
+            for i in range(5):
+                events.append(("read", i))
+                yield (i,)
+
+        def fn(i):
+            events.append(("call", i))
+            return i
+
+        assert parallel_map(fn, items(), 1, chunk=4) == list(range(5))
+        assert events == [(kind, i) for i in range(5) for kind in ("read", "call")]
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_pool_path_reads_at_most_the_window_ahead(self, tmp_path, chunk):
+        gate, read, at_open = tmp_path / "gate", [], []
+
+        def items():
+            for i in range(30):
+                read.append(i)
+                yield (str(gate), i)
+
+        def open_gate():  # no call can finish before this
+            at_open.append(len(read))
+            gate.touch()
+
+        timer = threading.Timer(1.0, open_gate)
+        timer.start()
+        try:
+            assert parallel_map(wait_for, items(), 2, chunk) == list(range(30))
+        finally:
+            timer.cancel()
+        assert at_open and at_open[0] <= 2 * 2 * chunk
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_exception_reaches_the_caller_and_leaves_no_worker(self, tmp_path, workers):
+        import snrsub.subsample as sub
+
+        def items():
+            yield from ((i, 2) for i in range(6))
+            raise OSError("the file changed while it was in use")
+
+        with pytest.raises(OSError, match="the file changed"):
+            parallel_map(pow, items(), workers)
+        with pytest.raises(ValueError, match="not invertible"):  # raised in a call
+            parallel_map(pow, [(3, 2)] * 6 + [(2, -1, 4)] + [(3, 2)] * 6, workers)
+        ms = mapped(ar_series(), tmp_path / "x.f64")
+        with open(tmp_path / "x.f64", "r+b") as f:
+            f.truncate(8 * (ms.n - 100))
+        starts = np.arange(1, ms.n - 440, 250)  # the last start is past the new end
+        with pytest.raises(OSError, match="the file changed while it was in use"):
+            estimate_blocks(ms, starts, SubsampleConfig(b=441, k_blocks=1, workers=workers))
+        assert multiprocessing.active_children() == [] and not sub._POOLS
 
 
 class TestConfidenceInterval:
