@@ -364,10 +364,9 @@ def select_bandwidth(
     if best is None:
         raise ValueError("correction factor degenerate across grid")
     _, h_hat, fitted, residuals, M = best
-    if e:  # a block already scaled, as on the block path, needs no scaling back
-        with np.errstate(over="ignore"):
-            fitted, residuals = np.ldexp(fitted, e), np.ldexp(residuals, e)
-            curve = np.ldexp(curve, 2 * e).tolist()
+    with np.errstate(over="ignore"):
+        fitted, residuals = np.ldexp(fitted, e), np.ldexp(residuals, e)
+        curve = np.ldexp(curve, 2 * e).tolist()
     return KernelFit(fitted=fitted, residuals=residuals, h_hat=h_hat,
                      cv_curve=tuple(zip(plan.hs, curve)), m_lags=M)
 

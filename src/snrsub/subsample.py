@@ -204,6 +204,11 @@ def draw_blocks(n: int, b: int, k: int, seed: int) -> np.ndarray:
     return rng.choice(n_starts, size=k, replace=False).astype(np.int64) + 1
 
 
+def _check_block(series: TimeSeries, start: int, b: int) -> None:
+    if not (1 <= start <= start + b - 1 <= series.n):
+        raise ValueError(f"block [{start}, {start + b - 1}] outside series of length {series.n}")
+
+
 def cut_block(series: TimeSeries, start: int, b: int, read=None) -> np.ndarray:
     """The b samples of ``series`` from 1-based position ``start`` on; raises
     unless the block holds at least one sample and lies inside the series.
@@ -214,8 +219,7 @@ def cut_block(series: TimeSeries, start: int, b: int, read=None) -> np.ndarray:
     that ``read`` fills, or, when None, into a new array from a reader opened
     for this block alone.
     """
-    if not (1 <= start <= start + b - 1 <= series.n):
-        raise ValueError(f"block [{start}, {start + b - 1}] outside series of length {series.n}")
+    _check_block(series, start, b)
     if read is not None:
         return read(start - 1, b)
     with sample_reader(series.samples) as read:
@@ -282,14 +286,15 @@ def parallel_imap(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1)
     in input order, over ``workers`` processes if > 1.
 
     Serially each tuple is read just before its call.  A pool gets tasks of
-    ``chunk`` tuples and holds at most 2 * ``workers`` of them submitted and
-    not yet finished, so at most that many chunks are read ahead of the calls
-    whatever the length of ``arg_tuples``.  Results never depend on the worker
-    count; ``fn`` and its arguments must be picklable.  No more processes
-    start than there are calls.  Each tuple is passed whole, so tuples of
-    different lengths work as they do serially.  If reading ``arg_tuples`` or
-    a call raises, the tasks not yet started are cancelled before the
-    exception reaches the caller.
+    ``chunk`` tuples, and a task is read only once fewer than 2 * ``workers``
+    are submitted and not yet collected, so at most that many are read ahead
+    of the caller whatever the length of ``arg_tuples``.  Results never
+    depend on the worker count; ``fn`` and its arguments must be picklable.
+    No more processes start than there are calls.  Each tuple is passed
+    whole, so tuples of different lengths work as they do serially.  If
+    reading ``arg_tuples`` or a call raises, the tasks not yet started are
+    cancelled, and the running ones waited for, before the exception reaches
+    the caller.
     """
     args = iter(arg_tuples)
     head = list(itertools.islice(args, workers)) if workers > 1 else []
@@ -297,33 +302,28 @@ def parallel_imap(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1)
         for a in itertools.chain(head, args):
             yield call(fn, a)
         return
-    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures import wait
     workers = len(head)
     items = itertools.chain(head, args)
     with _shared_pool(workers):
         pool = _POOLS[workers]
-        ordered, running = collections.deque(), set()
-        parts = iter(lambda: list(itertools.islice(items, chunk)), [])
+        pending = collections.deque()
         try:
-            # a chunk is read only once fewer than 2 * workers are running
-            for future in map(partial(pool.submit, _call_chunk, fn), parts):
-                ordered.append(future)
-                running.add(future)
-                if len(running) >= 2 * workers:
-                    running = wait(running, return_when=FIRST_COMPLETED).not_done
-                while ordered and ordered[0].done():
-                    yield from ordered.popleft().result()
-            while ordered:
-                yield from ordered.popleft().result()
-        finally:  # on an exception: cancel what has not started, wait for the rest
-            for future in running:
+            for part in iter(lambda: list(itertools.islice(items, chunk)), []):
+                pending.append(pool.submit(_call_chunk, fn, part))
+                if len(pending) == 2 * workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for future in pending:
                 future.cancel()
-            wait(running)
+            wait(pending)
 
 
-def parallel_map(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1) -> list:
-    """``list(parallel_imap(fn, arg_tuples, workers, chunk))``."""
-    return list(parallel_imap(fn, arg_tuples, workers, chunk))
+def parallel_map(fn, arg_tuples: Iterable[tuple], workers: int) -> list:
+    """``list(parallel_imap(fn, arg_tuples, workers))``: one call per task."""
+    return list(parallel_imap(fn, arg_tuples, workers))
 
 
 def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> SubsampleEstimate:
@@ -345,9 +345,13 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
     depend on K: a series over a file is read from one open reader, serially
     into one reused buffer, and over a pool in chunks of at most
     ``POOL_CHUNK_SAMPLES`` samples, at most 2 * workers chunks at a time.
-    No starts give empty columns.  No skip budget is applied.
+    Every start is checked before any block is fitted.  No starts give
+    empty columns.  No skip budget is applied.
     """
     starts = np.asarray(starts, dtype=np.int64)
+    if starts.size:  # every block lies inside if the first and the last do
+        _check_block(series, int(starts.min()), cfg.b)
+        _check_block(series, int(starts.max()), cfg.b)
     columns = np.empty((4, starts.size))
     with sample_reader(series.samples) as read:
         if cfg.workers == 1:  # each block is fitted before the next is read
@@ -356,7 +360,7 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
                                      grid=cfg.grid).h_hat
                     if cfg.shared_bandwidth and starts.size else None)
         args = ((cut_block(series, t, cfg.b, read), cfg.b1, cfg.grid, shared_h)
-                for t in map(int, starts))
+                for t in starts.tolist())
         chunk = max(1, min(starts.size // (4 * cfg.workers), POOL_CHUNK_SAMPLES // cfg.b))
         for i, values in enumerate(parallel_imap(_block_values, args, cfg.workers, chunk)):
             columns[:, i] = values

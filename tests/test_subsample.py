@@ -1,9 +1,6 @@
 import math
 import multiprocessing
-import os
 import pickle
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +22,7 @@ from snrsub.subsample import (
     draw_blocks,
     estimate_blocks,
     estimate_snr_distribution,
+    parallel_imap,
     parallel_map,
     select_block_size,
 )
@@ -40,13 +38,6 @@ def mapped(series, path):
     """The same series, read from a raw float64 file at ``path``."""
     series.samples.tofile(path)
     return TimeSeries(np.memmap(path, dtype="<f8", mode="r"), series.sample_rate_hz)
-
-
-def wait_for(path, value):
-    """``value`` once ``path`` exists: a call that holds its worker until then."""
-    while not os.path.exists(path):
-        time.sleep(0.005)
-    return value
 
 
 class TestConfig:
@@ -160,6 +151,17 @@ class TestEstimateBlocks:
         assert [c.shape for c in columns] == [(0,)] * 6
         assert (dist.starts.dtype, dist.kept.dtype) == (np.int64, bool)
         assert (dist.count, dist.skipped, dist.estimates) == (0, 0, ())
+
+    def test_every_start_is_checked_before_any_block_is_fitted(self, monkeypatch):
+        import snrsub.subsample as sub
+
+        def no_fit(*args):
+            raise AssertionError("a block was fitted")
+
+        monkeypatch.setattr(sub, "_block_values", no_fit)
+        ts = ar_series()
+        with pytest.raises(ValueError, match="outside series"):
+            estimate_blocks(ts, [1, 500, ts.n - 439], SubsampleConfig(b=441, k_blocks=3))
 
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -358,7 +360,7 @@ class TestParallelMap:
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_generator_comes_back_in_input_order(self, workers, chunk):
-        got = parallel_map(pow, ((i, 2) for i in range(20)), workers, chunk)
+        got = list(parallel_imap(pow, ((i, 2) for i in range(20)), workers, chunk))
         assert got == [i * i for i in range(20)]
 
     def test_serial_path_reads_each_item_just_before_its_call(self):
@@ -373,29 +375,22 @@ class TestParallelMap:
             events.append(("call", i))
             return i
 
-        assert parallel_map(fn, items(), 1, chunk=4) == list(range(5))
+        assert list(parallel_imap(fn, items(), 1, chunk=4)) == list(range(5))
         assert events == [(kind, i) for i in range(5) for kind in ("read", "call")]
 
     @pytest.mark.parametrize("chunk", [1, 2])
-    def test_pool_path_reads_at_most_the_window_ahead(self, tmp_path, chunk):
-        gate, read, at_open = tmp_path / "gate", [], []
+    def test_pool_path_reads_at_most_the_window_ahead(self, chunk):
+        read = []
 
         def items():
             for i in range(30):
                 read.append(i)
-                yield (str(gate), i)
+                yield (i, 2)
 
-        def open_gate():  # no call can finish before this
-            at_open.append(len(read))
-            gate.touch()
-
-        timer = threading.Timer(1.0, open_gate)
-        timer.start()
-        try:
-            assert parallel_map(wait_for, items(), 2, chunk) == list(range(30))
-        finally:
-            timer.cancel()
-        assert at_open and at_open[0] <= 2 * 2 * chunk
+        results = parallel_imap(pow, items(), 2, chunk)
+        assert next(results) == 0
+        assert len(read) == 2 * 2 * chunk  # 2 * workers tasks, the first one collected
+        assert [0, *results] == [i * i for i in range(30)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_exception_reaches_the_caller_and_leaves_no_worker(self, tmp_path, workers):
