@@ -89,8 +89,8 @@ class TimeSeries:
 
     A float64 ``np.memmap`` over a file (``mapped_file``; ``cli.read_input``
     gives one for raw input) is kept mapped and never read whole: the
-    finiteness check reads it a chunk at a time, and ``subsample.cut_block``
-    a block at a time, both through ``sample_reader``.  The file must not
+    finiteness check reads it a chunk at a time, and the block fits a block
+    at a time, both through ``sample_reader``.  The file must not
     change while the series is in use.  Any other ``samples`` is taken as
     ``np.ascontiguousarray(samples, np.float64)``, so a memmap of another
     dtype is copied into memory.

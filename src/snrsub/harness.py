@@ -38,7 +38,7 @@ from .subsample import (
     estimate_blocks,
     call,
     estimate_snr_distribution,
-    parallel_map,
+    parallel_imap,
 )
 
 __all__ = [
@@ -261,7 +261,7 @@ def _run_replicas(spec: ExperimentSpec, workers: int, oracle_replicas: int = 0
     oracle_b = spec.block_lengths if oracle_replicas >= 1 else ()
     jobs = [(_oracle, (spec, b, oracle_replicas)) for b in oracle_b]
     jobs += [(_replica, (spec, r)) for r in range(spec.replicas)]
-    out = parallel_map(call, jobs, workers)
+    out = list(parallel_imap(call, jobs, workers))
     values, failed = (np.stack(col) for col in zip(*out[len(oracle_b):]))
     return (values, failed), dict(zip(oracle_b, out))
 

@@ -6,8 +6,9 @@ power and the residual variance over a short secondary window, and exposes
 the K values as an empirical distribution with quantile and confidence
 interval accessors.  No step ever computes over the full series, so cost is
 governed by the block length rather than the sample size.  A series over a
-file is read only block by block (``cut_block``), each block as it is
-fitted, so memory follows the block length, not the sample size or K.
+file is read only block by block through ``core.sample_reader``:
+``estimate_blocks`` reads each block as it is fitted, so memory follows the
+block length, not the sample size or K.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class SubsampleEstimate:
 
     ``start`` is the 1-based position of the first sample of the block;
     ``signal_power`` the mean squared fitted signal over the block;
-    ``noise_variance`` the sample variance of the residuals over the first
-    b1 block points; ``snr_db`` their ratio in decibels (NaN when skipped).
+    ``noise_variance`` the variance with divisor b1 of the residuals over
+    the first b1 block points; ``snr_db`` their ratio in decibels (NaN when
+    skipped).
     """
 
     start: int
@@ -209,19 +211,15 @@ def _check_block(series: TimeSeries, start: int, b: int) -> None:
         raise ValueError(f"block [{start}, {start + b - 1}] outside series of length {series.n}")
 
 
-def cut_block(series: TimeSeries, start: int, b: int, read=None) -> np.ndarray:
+def cut_block(series: TimeSeries, start: int, b: int) -> np.ndarray:
     """The b samples of ``series`` from 1-based position ``start`` on; raises
     unless the block holds at least one sample and lies inside the series.
 
     An in-memory series gives a view.  A series over a file (see
-    ``TimeSeries``) gives a copy made with one positioned read, by ``read``
-    from an open ``core.sample_reader(series.samples)``, into whatever array
-    that ``read`` fills, or, when None, into a new array from a reader opened
-    for this block alone.
+    ``TimeSeries``) gives a new array, filled by one positioned read through
+    a ``core.sample_reader`` opened for this block alone.
     """
     _check_block(series, start, b)
-    if read is not None:
-        return read(start - 1, b)
     with sample_reader(series.samples) as read:
         return read(start - 1, b)
 
@@ -252,13 +250,13 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
 
 
 def call(fn, args: tuple):
-    """fn(*args): one call of ``parallel_map``, in whichever process runs it."""
+    """fn(*args): runs (fn, args) jobs of different functions through one ``parallel_imap``."""
     return fn(*args)
 
 
 def _call_chunk(fn, chunk: list[tuple]) -> list:
     """[fn(*args) for args in chunk]: one task of ``parallel_imap``'s pool."""
-    return [call(fn, args) for args in chunk]
+    return [fn(*args) for args in chunk]
 
 
 _POOLS: dict = {}  # worker count -> ProcessPoolExecutor of an open ``_shared_pool``
@@ -266,8 +264,8 @@ _POOLS: dict = {}  # worker count -> ProcessPoolExecutor of an open ``_shared_po
 
 @contextlib.contextmanager
 def _shared_pool(workers: int):
-    """Within the block, every ``parallel_map`` over ``workers`` processes runs
-    on one pool, started here unless an enclosing block already has one."""
+    """Within the block, every ``parallel_imap`` over ``workers`` processes
+    runs on one pool, started here unless an enclosing block already has one."""
     if workers <= 1 or workers in _POOLS:
         yield
         return
@@ -300,7 +298,7 @@ def parallel_imap(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1)
     head = list(itertools.islice(args, workers)) if workers > 1 else []
     if len(head) <= 1:
         for a in itertools.chain(head, args):
-            yield call(fn, a)
+            yield fn(*a)
         return
     from concurrent.futures import wait
     workers = len(head)
@@ -321,11 +319,6 @@ def parallel_imap(fn, arg_tuples: Iterable[tuple], workers: int, chunk: int = 1)
             wait(pending)
 
 
-def parallel_map(fn, arg_tuples: Iterable[tuple], workers: int) -> list:
-    """``list(parallel_imap(fn, arg_tuples, workers))``: one call per task."""
-    return list(parallel_imap(fn, arg_tuples, workers))
-
-
 def block_estimate(series: TimeSeries, start: int, cfg: SubsampleConfig) -> SubsampleEstimate:
     """Estimate one block starting at 1-based position ``start``.
 
@@ -341,10 +334,11 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
 
     Blocks run over ``cfg.workers`` processes; with ``cfg.shared_bandwidth``
     the bandwidth cross-validated on the first block serves every block.
-    Each block is cut as it is fitted, so the blocks held at once do not
-    depend on K: a series over a file is read from one open reader, serially
-    into one reused buffer, and over a pool in chunks of at most
-    ``POOL_CHUNK_SAMPLES`` samples, at most 2 * workers chunks at a time.
+    Each block is read as it is fitted, so the blocks held at once do not
+    depend on K: a series over a file is read from one open
+    ``core.sample_reader``, serially into one reused buffer, and over a pool
+    in chunks of at most ``POOL_CHUNK_SAMPLES`` samples, at most 2 * workers
+    chunks at a time.
     Every start is checked before any block is fitted.  No starts give
     empty columns.  No skip budget is applied.
     """
@@ -356,11 +350,9 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
     with sample_reader(series.samples) as read:
         if cfg.workers == 1:  # each block is fitted before the next is read
             read = partial(read, out=np.empty(cfg.b))
-        shared_h = (select_bandwidth(cut_block(series, int(starts[0]), cfg.b, read),
-                                     grid=cfg.grid).h_hat
+        shared_h = (select_bandwidth(read(int(starts[0]) - 1, cfg.b), grid=cfg.grid).h_hat
                     if cfg.shared_bandwidth and starts.size else None)
-        args = ((cut_block(series, t, cfg.b, read), cfg.b1, cfg.grid, shared_h)
-                for t in starts.tolist())
+        args = ((read(t - 1, cfg.b), cfg.b1, cfg.grid, shared_h) for t in starts.tolist())
         chunk = max(1, min(starts.size // (4 * cfg.workers), POOL_CHUNK_SAMPLES // cfg.b))
         for i, values in enumerate(parallel_imap(_block_values, args, cfg.workers, chunk)):
             columns[:, i] = values

@@ -13,6 +13,39 @@ import snrsub
 LAYERS = ("core", "smoother", "simgen", "subsample", "harness", "cli")
 SRC = Path(snrsub.__file__).parent
 
+# every public name as frozen when this list was made: each module's
+# ``__all__`` and the names ``snrsub/__init__.py`` re-exports ("snrsub").
+# A name may be added anywhere without editing this list; none may go.
+PUBLIC_NAMES = {
+    "core": ["TimeSeries", "DependenceRegime", "SRD", "lrd", "snr_db", "lambda_n", "tau_n",
+             "empirical_quantile", "signal_power", "mapped_file", "sample_reader"],
+    "smoother": ["BandwidthGrid", "KernelFit", "epanechnikov", "priestley_chao_fit",
+                 "pow2_scaled", "autocovariance", "cv_objective", "select_bandwidth"],
+    "simgen": ["SignalSpec", "NoiseSpec", "sample_count", "derive_seed", "derive_rng",
+               "calibrate_amplitude", "gen_sine", "gen_ar1", "gen_powerlaw", "gen_design",
+               "DESIGNS", "design_noise"],
+    "subsample": ["SubsampleConfig", "SubsampleEstimate", "SnrDistribution",
+                  "BlockSizeSelection", "ExcessiveSkipsError", "KTooLargeError", "default_b1",
+                  "admissible_starts", "draw_blocks", "cut_block", "block_estimate",
+                  "estimate_blocks", "estimate_snr_distribution", "confidence_interval",
+                  "select_block_size"],
+    "harness": ["ExperimentSpec", "McCell", "McReport", "mse_signal_power", "mc_reports",
+                "mise_probe", "oracle_draws", "oracle_quantiles", "quantile_mae",
+                "exhaustive_subsample_check", "ExhaustiveComparison", "replica_distribution",
+                "ks_distance"],
+    "snrsub": ["SRD", "DependenceRegime", "TimeSeries", "empirical_quantile", "lambda_n", "lrd",
+               "signal_power", "snr_db", "tau_n", "ExperimentSpec", "McCell", "McReport",
+               "exhaustive_subsample_check", "ks_distance", "mc_reports", "mise_probe",
+               "mse_signal_power", "oracle_draws", "oracle_quantiles", "quantile_mae",
+               "DESIGNS", "NoiseSpec", "SignalSpec", "calibrate_amplitude", "derive_rng",
+               "derive_seed", "gen_ar1", "gen_design", "gen_powerlaw", "gen_sine",
+               "BandwidthGrid", "KernelFit", "autocovariance", "cv_objective", "epanechnikov",
+               "priestley_chao_fit", "select_bandwidth", "ExcessiveSkipsError",
+               "KTooLargeError", "SnrDistribution", "SubsampleConfig", "SubsampleEstimate",
+               "block_estimate", "confidence_interval", "default_b1", "draw_blocks",
+               "estimate_snr_distribution", "select_block_size", "__version__"],
+}
+
 
 def imported_modules(path: Path) -> set[str]:
     """snrsub modules a source file imports, at any depth (function-local too)."""
@@ -44,6 +77,15 @@ def test_every_public_name_resolves(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
+@pytest.mark.parametrize("module", PUBLIC_NAMES)
+def test_public_names_keep_working(module):
+    mod = snrsub if module == "snrsub" else importlib.import_module(f"snrsub.{module}")
+    names = PUBLIC_NAMES[module]
+    assert [name for name in names if not hasattr(mod, name)] == []
+    if module != "snrsub":
+        assert set(names) <= set(mod.__all__)
+
+
 @pytest.mark.parametrize("module", LAYERS)
 def test_imports_only_earlier_layers(module):
     earlier = set(LAYERS[:LAYERS.index(module)])
@@ -57,7 +99,8 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # a pool is started only by parallel_map at more than one worker
+    # concurrent.futures is imported only where a pool of more than one
+    # worker starts (subsample._shared_pool and parallel_imap)
     code = "import sys, snrsub.cli; sys.exit('concurrent.futures' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
