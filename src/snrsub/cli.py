@@ -54,6 +54,7 @@ DEFAULT_LEVELS = ",".join(f"{g:g}" for g in ExperimentSpec.levels)
 DEFAULT_CI = "0.9,0.95"
 # samples per chunk of a WAV write (512 KB of float64), bounds its working memory
 WAV_CHUNK_SAMPLES = 1 << 16
+PCM16_FULL_SCALE = 32768.0  # a PCM16 value v is the amplitude v / PCM16_FULL_SCALE
 
 
 class CliError(Exception):
@@ -112,7 +113,7 @@ def _read_wav16(desc: InputDescriptor) -> TimeSeries:
     data = data.reshape(-1, nch)
     if not (0 <= desc.channel < nch):
         raise ValueError(f"wav: channel {desc.channel} out of range for {nch} channels")
-    samples = data[:, desc.channel].astype(np.float64) / 32768.0
+    samples = data[:, desc.channel].astype(np.float64) / PCM16_FULL_SCALE
     return TimeSeries(samples, fs if desc.sample_rate_hz is None else desc.sample_rate_hz)
 
 
@@ -160,7 +161,7 @@ def write_wav16(path: str, samples: np.ndarray, fs_hz: float) -> float:
     The peak and the PCM are computed ``WAV_CHUNK_SAMPLES`` at a time, so the
     working memory does not grow with the series.
     """
-    limit = 32767.0 / 32768.0
+    limit = (PCM16_FULL_SCALE - 1.0) / PCM16_FULL_SCALE
     chunks = range(0, samples.size, WAV_CHUNK_SAMPLES)
     peak = float(np.max([np.max(np.abs(samples[lo:lo + WAV_CHUNK_SAMPLES])) for lo in chunks],
                         initial=0.0))
@@ -171,8 +172,8 @@ def write_wav16(path: str, samples: np.ndarray, fs_hz: float) -> float:
         wf.setframerate(int(round(fs_hz)))
         for lo in chunks:  # close() writes the header's final sizes
             pcm = samples[lo:lo + WAV_CHUNK_SAMPLES] * gain
-            pcm *= 32768.0
-            np.clip(np.rint(pcm, out=pcm), -32768, 32767, out=pcm)
+            pcm *= PCM16_FULL_SCALE
+            np.clip(np.rint(pcm, out=pcm), -PCM16_FULL_SCALE, PCM16_FULL_SCALE - 1.0, out=pcm)
             wf.writeframesraw(pcm.astype("<i2").tobytes())
     return gain
 
@@ -343,7 +344,8 @@ def cmd_estimate(args) -> int:
     dist = estimate_snr_distribution(series, cfg)
     elapsed = time.perf_counter() - t0
 
-    hs = dist.h_hat[dist.kept]
+    hs = np.sort(dist.h_hat[dist.kept])
+    mid = hs.size // 2  # the middle value, or the mean of the middle two, as np.median
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
@@ -366,9 +368,9 @@ def cmd_estimate(args) -> int:
             "retained": dist.count,
             "skipped": dist.skipped,
             "bandwidth_summary": {
-                "median_h": float(np.median(hs)),
-                "min_h": float(np.min(hs)),
-                "max_h": float(np.max(hs)),
+                "median_h": float(hs[mid] if hs.size % 2 else (hs[mid - 1] + hs[mid]) / 2.0),
+                "min_h": float(hs[0]),
+                "max_h": float(hs[-1]),
             },
             "quantiles_db": {f"{g:g}": dist.quantile(g) for g in levels},
             "ci_db": {f"{lv:g}": list(confidence_interval(dist, lv)) for lv in ci_levels},

@@ -29,7 +29,10 @@ __all__ = [
     "sample_reader",
 ]
 
-CHECK_CHUNK_SAMPLES = 1 << 16  # samples per finiteness-check read (512 KB), whatever n is
+# float64 samples (2 MB) any chunked loop holds at once, whatever n or K is;
+# every such loop gives the same result at any chunk size.  CV batches of
+# 2**16 samples were slower per block at b = 44100 (BENCH_15.json)
+CHUNK_SAMPLES = 1 << 18
 
 
 def mapped_file(samples) -> tuple[str, int] | None:
@@ -69,12 +72,12 @@ def sample_reader(samples: np.ndarray):
 
 
 def _all_finite(samples: np.ndarray) -> bool:
-    """Whether every sample is finite, read CHECK_CHUNK_SAMPLES at a time into
-    one buffer, so that the check holds one chunk however long the series."""
-    buf = np.empty(min(CHECK_CHUNK_SAMPLES, samples.size))
+    """Whether every sample is finite, read CHUNK_SAMPLES at a time into one
+    buffer, so that the check holds one chunk however long the series."""
+    buf = np.empty(min(CHUNK_SAMPLES, samples.size))
     with sample_reader(samples) as read:
-        return all(np.isfinite(read(i, min(CHECK_CHUNK_SAMPLES, samples.size - i), buf)).all()
-                   for i in range(0, samples.size, CHECK_CHUNK_SAMPLES))
+        return all(np.isfinite(read(i, min(CHUNK_SAMPLES, samples.size - i), buf)).all()
+                   for i in range(0, samples.size, CHUNK_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,8 @@ class TimeSeries:
 
     A float64 ``np.memmap`` over a file (``mapped_file``; ``cli.read_input``
     gives one for raw input) is kept mapped and never read whole: the
-    finiteness check reads it a chunk at a time, and the block fits a block
-    at a time, both through ``sample_reader``.  The file must not
+    finiteness check reads it ``CHUNK_SAMPLES`` at a time, and the block fits
+    a block at a time, both through ``sample_reader``.  The file must not
     change while the series is in use.  Any other ``samples`` is taken as
     ``np.ascontiguousarray(samples, np.float64)``, so a memmap of another
     dtype is copied into memory.

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import DependenceRegime, TimeSeries, empirical_quantile
+from .core import CHUNK_SAMPLES, DependenceRegime, TimeSeries, empirical_quantile
 from .simgen import (
     AR1_BURN_IN,
     SIGNAL_FREQ_HZ,
@@ -63,8 +63,6 @@ _STREAM_BLOCKS = 1
 _STREAM_ORACLE = 2
 
 ORACLE_NOISE_LEN = 4096  # synthesis length from which oracle noise windows are cut
-ORACLE_SLAB_SAMPLES = 1 << 18  # noise samples generated per slab of oracle draws, bounds memory
-_POWER_CHUNK_SAMPLES = 1 << 15  # block samples per chunk of true block powers (256 KB), bounds memory
 MSE_TARGETS = ("block", "global")
 SCHEMA_VERSION = 1  # of every JSON object the package writes: reports and CLI errors
 ORACLE_REPLICAS = 4000  # default oracle draws; like ExperimentSpec's field defaults, also the CLI's
@@ -196,10 +194,10 @@ def _true_block_power(amp: float, starts: np.ndarray, b: int, fs_hz: float) -> n
     power that depends on the phase at which the block starts.
 
     The expression is evaluated in place, on one buffer of about
-    ``_POWER_CHUNK_SAMPLES`` samples, a chunk of whole blocks at a time.
+    ``core.CHUNK_SAMPLES`` samples, a chunk of whole blocks at a time.
     """
     offsets = np.arange(b)
-    rows = max(1, _POWER_CHUNK_SAMPLES // b)
+    rows = max(1, CHUNK_SAMPLES // b)
     buf = np.empty((min(rows, starts.size), b))
     out = np.empty(starts.size)
     for lo in range(0, starts.size, rows):
@@ -349,12 +347,12 @@ def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
 def _oracle_slab(kind: str, b1: int) -> tuple[int, int]:
     """(noise length per oracle draw, draws per slab) for noise of ``kind``.
 
-    A slab generates at most ORACLE_SLAB_SAMPLES noise samples, AR(1)
+    A slab generates at most ``core.CHUNK_SAMPLES`` noise samples, AR(1)
     burn-in included: 64 power-law draws, or 259 AR(1) draws at b1 = 11.
     """
     if kind == "ar1":
-        return b1, max(1, ORACLE_SLAB_SAMPLES // (b1 + AR1_BURN_IN))
-    return ORACLE_NOISE_LEN, max(1, ORACLE_SLAB_SAMPLES // ORACLE_NOISE_LEN)
+        return b1, max(1, CHUNK_SAMPLES // (b1 + AR1_BURN_IN))
+    return ORACLE_NOISE_LEN, max(1, CHUNK_SAMPLES // ORACLE_NOISE_LEN)
 
 
 def _check_oracle_replicas(oracle_replicas: int) -> None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DependenceRegime, lambda_n
+from .core import CHUNK_SAMPLES, DependenceRegime, lambda_n
 
 __all__ = [
     "BandwidthGrid",
@@ -209,10 +209,6 @@ def _lag_cutoff(n: int, h: float) -> int:
     return min(max(1, int(math.floor(math.sqrt(n * h)))), n // 4)
 
 
-# rows x padded length of one batch of candidate fits; bounds the transient
-# arrays of a batch, not the cached plan, which holds every row.  2**16 halves
-# those arrays but was slower per block at b = 44100 (BENCH_15.json)
-CV_BATCH_SAMPLES = 1 << 18
 # FFT CV values within this share of (min CV + mean(y**2)) of the minimum, and
 # correction factors within CV_GUARD_BAND of CORRECTION_FLOOR, are decided by
 # the direct fit, so rounding in the FFT arithmetic cannot move the argmin
@@ -293,14 +289,15 @@ def _cv_plan(n: int, grid: BandwidthGrid, regime: DependenceRegime | None) -> _C
 def _fft_cv(y: np.ndarray, plan: _CvPlan):
     """(cv, mse, factor) of every plan row from FFT fits of y.
 
-    One rfft of y serves every row; rows are fitted a batch at a time, and
+    One rfft of y serves every row; rows are fitted ``core.CHUNK_SAMPLES``
+    padded samples at a time (the cached plan holds every row), and
     each row's correction factor comes from direct lag products of its
     residuals, by the rule the direct fit uses.
     """
     n, rows = y.size, plan.index.size
     mse, factor = np.empty(rows), np.zeros(rows)
     spec_y = np.fft.rfft(y, plan.length)
-    batch = max(1, CV_BATCH_SAMPLES // plan.length)
+    batch = max(1, CHUNK_SAMPLES // plan.length)
     for lo in range(0, rows, batch):
         sl = slice(lo, min(lo + batch, rows))
         padded = np.fft.irfft(plan.spectra[sl] * spec_y, plan.length, axis=1)

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core import TimeSeries, empirical_quantile, sample_reader
+from .core import CHUNK_SAMPLES, TimeSeries, empirical_quantile, sample_reader
 from .simgen import derive_rng, derive_seed
 from .smoother import (
     MIN_BLOCK_SAMPLES,
@@ -56,9 +56,6 @@ __all__ = [
 # undefined at 0); relative, so the floor does not depend on the input's scale
 VARIANCE_FLOOR = 1e-12
 SKIP_BUDGET = 0.10
-# samples per task of a pooled ``estimate_blocks``; with 2 * workers tasks in
-# flight this bounds the blocks a parallel run holds, whatever K is
-POOL_CHUNK_SAMPLES = 1 << 18
 
 
 class ExcessiveSkipsError(RuntimeError):
@@ -337,7 +334,7 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
     Each block is read as it is fitted, so the blocks held at once do not
     depend on K: a series over a file is read from one open
     ``core.sample_reader``, serially into one reused buffer, and over a pool
-    in chunks of at most ``POOL_CHUNK_SAMPLES`` samples, at most 2 * workers
+    in chunks of at most ``core.CHUNK_SAMPLES`` samples, at most 2 * workers
     chunks at a time.
     Every start is checked before any block is fitted.  No starts give
     empty columns.  No skip budget is applied.
@@ -353,7 +350,7 @@ def estimate_blocks(series: TimeSeries, starts, cfg: SubsampleConfig) -> SnrDist
         shared_h = (select_bandwidth(read(int(starts[0]) - 1, cfg.b), grid=cfg.grid).h_hat
                     if cfg.shared_bandwidth and starts.size else None)
         args = ((read(t - 1, cfg.b), cfg.b1, cfg.grid, shared_h) for t in starts.tolist())
-        chunk = max(1, min(starts.size // (4 * cfg.workers), POOL_CHUNK_SAMPLES // cfg.b))
+        chunk = max(1, min(starts.size // (4 * cfg.workers), CHUNK_SAMPLES // cfg.b))
         for i, values in enumerate(parallel_imap(_block_values, args, cfg.workers, chunk)):
             columns[:, i] = values
     u, v, snr, h = columns

@@ -742,6 +742,33 @@ class TestErrorTable:
         assert "$SNRSUB_THREADS" in capsys.readouterr().out
 
 
+class TestInProcessRepeats:
+    def test_second_run_of_each_command_is_byte_identical(self, tmp_path, capsys):
+        # one process runs every command twice, in rounds; the block lengths
+        # interleave (662, 88..882, 441 and 662, 441), so the cached CV plan
+        # is a different one each time a command runs again
+        path, _ = simulate_ar(tmp_path, capsys, duration="0.4")
+        common = ["--input", path, "--fs", "44100"]
+        commands = {
+            "estimate": ["estimate", *common, "--block-samples", "662", "--k", "24",
+                         "--seed", "9", "--snr-csv", "{out}"],
+            "select-block": ["select-block", *common, "--grid-steps", "6", "--k", "32",
+                             "--seed", "4", "--table-csv", "{out}"],
+            "mc": ["mc", "--design", "ar", "--snr", "6", "--quick", "--seed", "2",
+                   "--csv", "{out}"],
+            "bandwidth": ["bandwidth", *common, "--block-samples", "441", "--start", "500"],
+        }
+        outputs = {name: [] for name in commands}
+        for round_ in range(2):
+            for name, argv in commands.items():
+                out = tmp_path / f"{name}.{round_}.out"
+                code, stdout, err = run_cli(capsys, *(a.format(out=out) for a in argv))
+                assert code == 0, err
+                outputs[name].append((stdout, out.read_bytes() if out.exists() else None))
+        for name, (first, second) in outputs.items():
+            assert second == first, name
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = str(tmp_path / "m.raw")

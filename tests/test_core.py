@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snrsub.core as core
 from snrsub.core import (
-    CHECK_CHUNK_SAMPLES,
+    CHUNK_SAMPLES,
     SRD,
     DependenceRegime,
     TimeSeries,
@@ -178,13 +179,28 @@ class TestTimeSeries:
         assert ts.samples.dtype == np.float64
         assert not ts.samples.flags.writeable
 
+    # the check-chunk size the cases and their ids were made for; patched in
+    CASE_CHUNK = 1 << 16
+
     @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", [0, CHECK_CHUNK_SAMPLES - 1, CHECK_CHUNK_SAMPLES, -1])
-    def test_non_finite_sample_found_in_any_check_chunk(self, tmp_path, mapped, bad, where):
+    @pytest.mark.parametrize("where", [0, CASE_CHUNK - 1, CASE_CHUNK, -1])
+    def test_non_finite_sample_found_in_any_check_chunk(self, monkeypatch, tmp_path, mapped,
+                                                        bad, where):
         # two whole check chunks and a partial one; the bad sample sits on either
         # side of the first chunk boundary, or first or last in the series
-        samples = np.linspace(-1.0, 1.0, 2 * CHECK_CHUNK_SAMPLES + 5)
+        monkeypatch.setattr(core, "CHUNK_SAMPLES", self.CASE_CHUNK)
+        self.assert_rejected(tmp_path, mapped, 2 * self.CASE_CHUNK + 5, where, bad)
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("where", [CHUNK_SAMPLES - 1, CHUNK_SAMPLES])
+    def test_non_finite_sample_found_across_the_chunk_bound(self, tmp_path, mapped, where):
+        # the same check at the bound itself, on either side of its first boundary
+        self.assert_rejected(tmp_path, mapped, 2 * CHUNK_SAMPLES + 5, where, math.nan)
+
+    @staticmethod
+    def assert_rejected(tmp_path, mapped, n, where, bad):
+        samples = np.linspace(-1.0, 1.0, n)
         samples[where] = bad
         if mapped:
             samples.tofile(tmp_path / "x.f64")

@@ -164,9 +164,10 @@ class TestTrueBlockPower:
         (40_000, 3),     # a block longer than one chunk
         (441, 0),        # no starts
     ])
-    def test_bits_of_the_whole_array_expression(self, b, count):
+    def test_bits_of_the_whole_array_expression(self, monkeypatch, b, count):
         import snrsub.harness as harness
 
+        monkeypatch.setattr(harness, "CHUNK_SAMPLES", 1 << 15)  # the cases are sized for it
         starts = derive_rng(b).integers(1, self.N - b + 2, size=count)
         if count:
             starts[0], starts[-1] = 1, self.N - b + 1  # first and last admissible start

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import snrsub
@@ -104,6 +105,35 @@ def test_cli_import_leaves_process_pools_unloaded():
     code = "import sys, snrsub.cli; sys.exit('concurrent.futures' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
+
+
+def test_estimate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median loads numpy.ma through its NaN check; estimate takes its
+    # median from the sorted bandwidths instead
+    path = tmp_path / "x.raw"
+    np.random.default_rng(2).normal(size=20_000).tofile(path)
+    argv = ["estimate", "--input", str(path), "--fs", "44100", "--block-samples", "441",
+            "--k", "20", "--out", str(tmp_path / "x.json")]
+    code = ("import sys; from snrsub.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(code or 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr or "numpy.ma was imported"
+
+
+def test_one_chunk_bound():
+    # every chunked float64 loop is bounded by core.CHUNK_SAMPLES; only the
+    # WAV writer, whose working memory is pinned lower, keeps its own
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)
+                         and (t.id == "CHUNK_SAMPLES"
+                              or t.id.endswith(("_CHUNK_SAMPLES", "_BATCH_SAMPLES",
+                                                "_SLAB_SAMPLES"))))
+    assert found == {"core.CHUNK_SAMPLES", "cli.WAV_CHUNK_SAMPLES"}
 
 
 def test_no_module_imports_scipy():

@@ -401,7 +401,7 @@ class TestBatchedCv:
             estimate_blocks(series, [1, 442], SubsampleConfig(b=441, k_blocks=2))
 
     def test_plan_is_one_entry_and_batches_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(smoother, "CV_BATCH_SAMPLES", 1)  # one candidate per batch
+        monkeypatch.setattr(smoother, "CHUNK_SAMPLES", 1)  # one candidate per batch
         y = make_block("ar1", 700, 5)
         fit = select_bandwidth(y)
         assert fit.h_hat == direct_selection(y)[2]
@@ -412,7 +412,7 @@ class TestBatchedCv:
     @pytest.mark.parametrize("n", [16, 17, 64, 441, 4410])
     def test_fft_factor_is_the_lag_rule_on_fft_residuals(self, monkeypatch, n, batch):
         if batch is not None:
-            monkeypatch.setattr(smoother, "CV_BATCH_SAMPLES", batch)  # one candidate per batch
+            monkeypatch.setattr(smoother, "CHUNK_SAMPLES", batch)  # one candidate per batch
         y = smoother.pow2_scaled(make_block("ar1", n, 8))[0]
         plan = smoother._cv_plan(n, BandwidthGrid(), None)
         _, _, factor = smoother._fft_cv(y, plan)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snrsub.core import CHECK_CHUNK_SAMPLES, TimeSeries, mapped_file
+import snrsub.core as core
+from snrsub.core import CHUNK_SAMPLES, TimeSeries, mapped_file
 from snrsub.simgen import derive_seed, gen_design
 from snrsub.subsample import (
-    POOL_CHUNK_SAMPLES,
     ExcessiveSkipsError,
     KTooLargeError,
     SubsampleConfig,
@@ -116,14 +116,18 @@ class TestBlockRange:
         with pytest.raises(ValueError, match="outside series of length 11025"):
             cut_block(ar_series(), 1, b)
 
+    # the check-chunk size the cases and their ids were made for; patched in
+    CASE_CHUNK = 1 << 16
+
     @pytest.mark.parametrize("start, b", [
         (1, 441),  # the first block
-        (CHECK_CHUNK_SAMPLES - 200, 441),  # across the first check-chunk boundary
-        (2 * CHECK_CHUNK_SAMPLES + 17 - 441 + 1, 441),  # the last block
-        (1, 2 * CHECK_CHUNK_SAMPLES + 17),  # the whole series
+        (CASE_CHUNK - 200, 441),  # across the first check-chunk boundary
+        (2 * CASE_CHUNK + 17 - 441 + 1, 441),  # the last block
+        (1, 2 * CASE_CHUNK + 17),  # the whole series
     ])
-    def test_mapped_block_equals_the_slice(self, tmp_path, start, b):
-        ts = TimeSeries(np.random.default_rng(1).normal(size=2 * CHECK_CHUNK_SAMPLES + 17), 1.0)
+    def test_mapped_block_equals_the_slice(self, monkeypatch, tmp_path, start, b):
+        monkeypatch.setattr(core, "CHUNK_SAMPLES", self.CASE_CHUNK)
+        ts = TimeSeries(np.random.default_rng(1).normal(size=2 * self.CASE_CHUNK + 17), 1.0)
         ms = mapped(ts, tmp_path / "x.f64")
         assert mapped_file(ms.samples) is not None
         want = ts.samples[start - 1:start - 1 + b].tobytes()
@@ -213,7 +217,7 @@ class TestEstimateBlocks:
         assert abs(peak[1, 400] - peak[1, 20]) < 8 * b, peak
         # a pool holds at most 2 * workers chunks, plus the pickled copy of one
         # being sent, which may transiently be twice its size
-        window = (2 * 2 + 2) * POOL_CHUNK_SAMPLES * 8
+        window = (2 * 2 + 2) * CHUNK_SAMPLES * 8
         assert peak[2, 20] < window and peak[2, 400] < window, peak
 
 
