@@ -223,18 +223,25 @@ def _threads(args) -> int:
     return threads
 
 
+def _block_samples(flag: str, value: float, unit: str, fs_hz: float) -> int:
+    """``value`` in ``unit`` ('samples', 'ms' or 's') as the nearest whole
+    number of samples at ``fs_hz``; ``flag`` names a value that gives none."""
+    samples = {"samples": value, "ms": value * fs_hz / 1000.0, "s": value * fs_hz}[unit]
+    if not math.isfinite(samples):
+        raise CliError("invalid-config", f"{flag} gives no finite block length: {value:g}")
+    return int(round(samples))
+
+
 def _resolve_block_samples(args, fs_hz: float) -> int:
-    given = [name for name, v in (("--block-samples", args.block_samples),
-                                  ("--block-ms", args.block_ms),
-                                  ("--block-s", args.block_s)) if v is not None]
+    flags = (("--block-samples", args.block_samples, "samples"),
+             ("--block-ms", args.block_ms, "ms"),
+             ("--block-s", args.block_s, "s"))
+    given = [flag for flag in flags if flag[1] is not None]
     if len(given) != 1:
         raise CliError("config-conflict",
-                       f"exactly one of --block-samples/--block-ms/--block-s required, got {given or 'none'}")
-    if args.block_samples is not None:
-        return int(args.block_samples)
-    if args.block_ms is not None:
-        return int(round(args.block_ms * fs_hz / 1000.0))
-    return int(round(args.block_s * fs_hz))
+                       "exactly one of --block-samples/--block-ms/--block-s required, "
+                       f"got {[name for name, _, _ in given] or 'none'}")
+    return _block_samples(*given[0], fs_hz)
 
 
 def _block_fits(n: int, b: int, k: int) -> bool:
@@ -389,11 +396,12 @@ def cmd_select_block(args) -> int:
     series, desc = _load_series(args)
     fs = series.sample_rate_hz
     threads = _threads(args)
-    to_samples = {"ms": fs / 1000.0, "s": fs, "samples": 1.0}[args.grid_unit]
+    for flag, v in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        _block_samples(flag, v, args.grid_unit, fs)  # before linspace turns a non-finite end to NaN
     raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     # k is checked before the screen; select_block_size sets b per candidate
     cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
-    cand = sorted({int(round(v * to_samples)) for v in raw})
+    cand = sorted({_block_samples("--grid-max", float(v), args.grid_unit, fs) for v in raw})
     cand = [b for b in cand if b >= MIN_BLOCK_SAMPLES and _block_fits(series.n, b, args.k)]
     if len(cand) < 5:
         raise CliError("grid-infeasible",
@@ -451,7 +459,8 @@ def cmd_mc(args) -> int:
     if args.quick:
         replicas, duration, k, oracle_replicas = 3, 0.5, 48, 500
     levels = _parse_levels(args.levels, "--levels")
-    blocks = tuple(int(round(float(ms) * args.fs / 1000.0)) for ms in args.b_ms.split(","))
+    blocks = tuple(_block_samples("--b-ms", float(ms), "ms", args.fs)
+                   for ms in args.b_ms.split(","))
     spec = ExperimentSpec(
         design=args.design,
         true_snr_db=args.snr,
@@ -604,8 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.fs is not None and not args.fs > 0:  # every command takes --fs
-            raise CliError("invalid-config", f"--fs must be positive, got {args.fs:g}")
+        fs = args.fs  # every command takes --fs
+        if fs is not None and not (fs > 0 and math.isfinite(fs)):
+            raise CliError("invalid-config",
+                           f"--fs must be {'finite' if fs > 0 else 'positive'}, got {fs:g}")
         return args.func(args)
     except CliError as e:
         _error_json(e.code, str(e))

@@ -109,8 +109,9 @@ class TimeSeries:
             raise ValueError("samples must be a non-empty 1-D sequence")
         if not _all_finite(arr):
             raise ValueError("samples contain non-finite values")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
+            raise ValueError(f"sample_rate_hz must be positive and finite, "
+                             f"got {self.sample_rate_hz}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))

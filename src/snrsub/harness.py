@@ -103,6 +103,7 @@ class ExperimentSpec:
         bs = tuple(int(b) for b in self.block_lengths)
         if len(set(bs)) < len(bs):
             raise ValueError(f"block lengths must be distinct, got {bs}")
+        calibrate_amplitude(self.true_snr_db, self.noise_variance)  # a finite sine amplitude
         n = sample_count(self.duration_s, self.fs_hz)
         for b in bs:
             SubsampleConfig(b=b, k_blocks=self.k_blocks)  # its own checks of b and k_blocks

@@ -136,14 +136,15 @@ class NoiseSpec:
     def sample_rows(self, rows: int, n: int, seed) -> np.ndarray:
         """(rows, n) array whose rows equal ``rows`` consecutive ``sample(n, rng)``
         calls on one generator, bit for bit: ``slabs`` with one slab."""
-        return next(self.slabs(rows, n, max(rows, 1), seed), np.empty((0, n)))
+        slab = next(self.slabs(rows, n, max(rows, 1), seed), np.empty((0, n)))
+        return np.ascontiguousarray(slab)  # an AR(1) slab is a strided view
 
     def slabs(self, count: int, n: int, slab: int, seed) -> Iterator[np.ndarray]:
         """The rows of ``sample_rows(count, n, seed)``, ``slab`` rows at a time.
 
-        Every work array is allocated once, for the first slab, and refilled
-        for the next, so the yielded (rows, n) array is overwritten when the
-        iteration resumes; copy what must outlive it.
+        Each slab is a (rows, n) view of one work buffer, allocated once and
+        overwritten when the iteration resumes, so copy what must outlive it.
+        Its rows are contiguous, but an AR(1) slab is not.
         """
         rng = _as_rng(seed)
         if self.kind == "white":
@@ -180,10 +181,17 @@ def design_noise(design: str, variance: float) -> NoiseSpec:
 
 
 def calibrate_amplitude(target_snr_db: float, noise_variance: float) -> float:
-    """Sine amplitude whose power A**2/2 hits the target SNR over the noise."""
+    """Sine amplitude whose power A**2/2 hits the target SNR over the noise;
+    an SNR with no positive finite amplitude fails here, before any draw."""
     if not noise_variance > 0:
         raise ValueError(f"noise variance must be positive, got {noise_variance}")
-    return math.sqrt(2.0 * noise_variance * 10.0 ** (target_snr_db / 10.0))
+    try:
+        amp = math.sqrt(2.0 * noise_variance * 10.0 ** (target_snr_db / 10.0))
+    except OverflowError:  # 10.0 ** x above the float range
+        amp = math.inf
+    if not 0.0 < amp < math.inf:
+        raise ValueError(f"SNR {target_snr_db} dB gives no positive finite amplitude, got {amp}")
+    return amp
 
 
 def gen_sine(spec: SignalSpec) -> TimeSeries:
@@ -308,12 +316,12 @@ def _powerlaw_slabs(beta: float, target_variance: float, count: int, n: int, sla
     """``count`` consecutive ``gen_powerlaw`` series from one generator, bit
     for bit, ``slab`` rows at a time.
 
-    One (rows, 2, n//2) normal draw is the same stream as ``rows`` draws of
-    (2, n//2), and the row-wise irfft, mean and scaling round as the one-row
-    calls do; each row's sum of squares stays its own dot product, since a
-    row-wise einsum rounds differently.  The last slab frees the draws and
-    the scale before the output is allocated, so a single series never
-    holds its draws, its coefficients and its output at once.
+    A slab is a (rows, n) view of one series buffer, whose flat prefix first
+    holds the slab's normals: one (rows, 2, n//2) draw, the stream of ``rows``
+    draws of (2, n//2).  The coefficients are built from them and the inverse
+    FFT overwrites them; it and the row-wise mean and scaling round as the
+    one-row calls do.  Each row's sum of squares stays its own dot product,
+    since a row-wise einsum rounds differently.
     """
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
@@ -324,22 +332,20 @@ def _powerlaw_slabs(beta: float, target_variance: float, count: int, n: int, sla
     scale *= 0.5
     np.sqrt(scale, out=scale)
     first = min(slab, count)
-    g = np.empty((first, 2, nf - 1))
+    x = np.empty((first, n))
     coef = np.zeros((first, nf), dtype=np.complex128)
-    x = None  # allocated after the draws of a single slab are freed
     for lo in range(0, count, slab):
         rows = min(slab, count - lo)
-        _normal_into(rng, 1.0, g[:rows])
+        g = x.reshape(-1)[:rows * 2 * (nf - 1)].reshape(rows, 2, nf - 1)
+        _normal_into(rng, 1.0, g)
         # the real and imaginary parts written in place: the same bits as
         # scale * (g0 + 1j * g1), without its three complex temporaries
-        np.multiply(scale, g[:rows, 0], out=coef.real[:rows, 1:])
-        np.multiply(scale, g[:rows, 1], out=coef.imag[:rows, 1:])
+        np.multiply(scale, g[:, 0], out=coef.real[:rows, 1:])
+        np.multiply(scale, g[:, 1], out=coef.imag[:rows, 1:])
         if n % 2 == 0:
-            coef[:rows, -1] = nyquist * g[:rows, 0, -1]
+            coef[:rows, -1] = nyquist * g[:, 0, -1]
         if lo + rows == count:
-            del g, scale
-        if x is None:
-            x = np.empty((first, n))
+            del scale  # a single series does not hold it through the inverse FFT
         xs = _irfft_rows(coef[:rows], n, x[:rows])
         xs -= xs.mean(axis=1, keepdims=True)
         for r in xs:
@@ -361,26 +367,18 @@ def _ar1_slabs(phi: float, target_variance: float, count: int, n: int, slab: int
     """``count`` consecutive ``gen_ar1`` series from one generator, bit for
     bit, ``slab`` rows at a time.
 
-    One ``_ar1_steps`` loop over the n + AR1_BURN_IN time steps runs every
-    row of a slab, as a column of a time-major copy of its innovations.
+    A slab is the (rows, n) view past the burn-in of one buffer of innovations,
+    turned into the series in place by one ``_ar1_steps`` loop over its columns.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sd = math.sqrt(target_variance * (1.0 - phi * phi))
-    first = min(slab, count)
-    u = np.empty((first, n + AR1_BURN_IN))
-    steps = np.empty(u.size)  # the time-major copy, reshaped to each slab's rows
-    x = np.empty((first, n))
+    u = np.empty((min(slab, count), n + AR1_BURN_IN))
     for lo in range(0, count, slab):
-        rows = min(slab, count - lo)
-        ur = u[:rows]
+        ur = u[:min(slab, count - lo)]
         _normal_into(rng, sd, ur)
-        t = steps[:ur.size].reshape(ur.shape[::-1])
-        t[...] = ur.T
-        _ar1_steps(t, phi)
-        xs = x[:rows]
-        xs[...] = t[AR1_BURN_IN:].T
-        yield xs
+        _ar1_steps(ur.T, phi)
+        yield ur[:, AR1_BURN_IN:]
 
 
 def gen_design(design: str, target_snr_db: float, fs_hz: float, duration_s: float,

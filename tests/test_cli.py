@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snrsub import cli
 from snrsub.cli import InputDescriptor, main, read_input, write_raw_f64le, write_wav16
 from snrsub.harness import dump_json
 
@@ -460,6 +461,23 @@ class TestSelectBlock:
         bs = [row["b"] for row in table]
         assert min(bs) == 512 and max(bs) == 2560
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_grid_end_named_before_linspace(self, tmp_path, capsys):
+        # np.linspace used to warn and turn every candidate to NaN
+        path, _ = simulate_ar(tmp_path, capsys)
+        for flag, bad in (("--grid-max", "inf"), ("--grid-min", "nan")):
+            code, stdout, err = run_cli(capsys, "select-block", "--input", path,
+                                        "--fs", "44100", flag, bad)
+            assert (code, stdout) == (1, "")
+            assert json.loads(err)["error"] == {
+                "code": "invalid-config", "message": f"{flag} gives no finite block length: {bad}"}
+
+    def test_grid_takes_the_estimate_rounding_rule(self):
+        # 0.5555555555555556 ms at 44.1 kHz is 24.5 samples as ms * fs / 1000,
+        # rounded half to even, but 24.500000000000004 as ms * (fs / 1000)
+        assert cli._block_samples("--grid-max", 0.5555555555555556, "ms", 44100.0) == 24
+        assert cli._block_samples("--block-ms", 10.0, "ms", 44100.0) == 441
+
     def test_infeasible_grid(self, tmp_path, capsys):
         path, _ = simulate_ar(tmp_path, capsys, duration="0.02")
         code, _, err = run_cli(
@@ -517,6 +535,36 @@ class TestMc:
         error = json.loads(err)["error"]
         assert error["code"] == "invalid-config"
         assert error["message"] == "oracle_replicas must be >= 1, got 0"
+
+    @pytest.mark.parametrize("snr,amplitude", [("nan", "nan"), ("inf", "inf"), ("1e5", "inf"),
+                                               ("-1e5", "0.0")])
+    def test_non_finite_snr_fails_before_any_job(self, capsys, monkeypatch, snr, amplitude):
+        # a NaN SNR used to fail inside the first oracle job, unnamed
+        def no_jobs(*args):
+            raise AssertionError("Monte Carlo jobs started")
+        monkeypatch.setattr("snrsub.harness._run_replicas", no_jobs)
+        code, stdout, err = run_cli(capsys, "mc", "--design", "ar", f"--snr={snr}",
+                                    "--metric", "both", "--quick")
+        assert code == 1 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-config"
+        assert error["message"] == (f"SNR {float(snr)} dB gives no positive finite amplitude, "
+                                    f"got {amplitude}")
+
+    @pytest.mark.parametrize("design", ["ar", "p2"])
+    def test_repeats_in_one_process_equal_two_threads(self, tmp_path, capsys, design):
+        # each noise slab is a view of a buffer its generator reuses: nothing of
+        # one run may leak into the next, or differ from a pool of two workers
+        outputs = []
+        for threads in ("1", "1", "2"):
+            csv_path = tmp_path / f"mc.{len(outputs)}.csv"
+            code, stdout, err = run_cli(capsys, "mc", "--design", design, "--snr", "6",
+                                        "--quick", "--seed", "5", "--threads", threads,
+                                        "--csv", str(csv_path))
+            assert code == 0, err
+            outputs.append((stdout, csv_path.read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_zero_oracle_draws_ignored_for_mse(self, capsys):
         code, stdout, _ = run_cli(
@@ -693,6 +741,31 @@ ERROR_TABLE = {
         ["estimate", "--input", "{wav}", "--format", "raw", "--fs", "44100",
          "--block-samples", "441"],
         "bad-input", "raw: 22094 bytes in {wav} is not a whole number of float64 samples"),
+    "estimate-block-ms-inf": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-ms", "inf"],
+        "invalid-config", "--block-ms gives no finite block length: inf"),
+    "estimate-block-s-inf": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-s", "inf"],
+        "invalid-config", "--block-s gives no finite block length: inf"),
+    "estimate-block-ms-overflow": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-ms", "1e306"],
+        "invalid-config", "--block-ms gives no finite block length: 1e+306"),
+    "bandwidth-block-ms-inf": (
+        ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-ms", "inf"],
+        "invalid-config", "--block-ms gives no finite block length: inf"),
+    "mc-b-ms-inf": (
+        ["mc", "--design", "ar", "--snr", "6", "--b-ms", "10,inf", "--quick"],
+        "invalid-config", "--b-ms gives no finite block length: inf"),
+    "estimate-fs-inf": (
+        ["estimate", "--input", "{raw}", "--fs", "inf", "--block-samples", "441"],
+        "invalid-config", "--fs must be finite, got inf"),
+    "select-block-fs-inf": (
+        ["select-block", "--input", "{raw}", "--fs", "inf"],
+        "invalid-config", "--fs must be finite, got inf"),
+    "simulate-snr-nan": (
+        ["simulate", "--design", "ar", "--snr", "nan", "--duration", "0.1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "SNR nan dB gives no positive finite amplitude, got nan"),
     "select-block-grid-infeasible": (
         ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min", "500",
          "--grid-max", "900", "--k", "16"],

@@ -172,6 +172,11 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            TimeSeries([1.0, 2.0], rate)
+
     def test_properties(self):
         ts = TimeSeries([0.5, 1.0, 1.5, 2.0], 2.0)
         assert ts.n == 4

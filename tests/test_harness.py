@@ -49,6 +49,9 @@ class TestExperimentSpec:
             tiny_spec(block_lengths=(441, 441))
         with pytest.raises(ValueError, match="must be >= 16 samples, got 13"):
             tiny_spec(block_lengths=(441, 13))
+        for snr in (math.nan, math.inf, 1e5):
+            with pytest.raises(ValueError, match="gives no positive finite amplitude"):
+                tiny_spec(true_snr_db=snr)
 
     def test_run_shape_checked_against_n(self):
         # n = 0.25 s * 44.1 kHz = 11025 samples
@@ -110,6 +113,15 @@ class TestOracleQuantiles:
     def test_working_memory_is_one_slab_and_one_power_chunk(self, design):
         _, peak = traced_peak(oracle_draws, design, 6.0, 662, None, 4000, 9)
         assert peak <= 10 * 2**20
+
+    @pytest.mark.parametrize("design,bound_mib", [("ar", 3), ("p2", 5)])
+    def test_one_work_buffer_per_slab(self, design, bound_mib):
+        # an AR(1) slab steps its innovations in place, and power-law normals
+        # are drawn into the series buffer (4.16 and 6.31 MiB with separate
+        # arrays); the first call warms numpy's caches, which are not the slab's
+        oracle_draws(design, 6.0, 662, None, 4000, 9)
+        _, peak = traced_peak(oracle_draws, design, 6.0, 662, None, 4000, 9)
+        assert peak < bound_mib * 2**20
 
     def test_slab_sizes(self):
         import snrsub.harness as harness

@@ -47,6 +47,13 @@ class TestCalibrateAmplitude:
         with pytest.raises(ValueError):
             calibrate_amplitude(6.0, 0.0)
 
+    @pytest.mark.parametrize("snr,variance", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                              (1e5, 1.0), (-1e5, 1.0), (6.0, math.inf)])
+    def test_requires_positive_finite_amplitude(self, snr, variance):
+        # 10 ** (snr / 10) overflows at 1e5 dB and underflows to 0 at -1e5 dB
+        with pytest.raises(ValueError, match="gives no positive finite amplitude"):
+            calibrate_amplitude(snr, variance)
+
 
 class TestGenSine:
     def test_power_over_whole_periods(self):
