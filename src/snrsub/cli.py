@@ -70,7 +70,7 @@ class InputDescriptor:
     """Where and how to read a series: path, format, rate override, channel."""
 
     path: str
-    format: str  # 'wav16' | 'csv' | 'raw_f64le'
+    format: str  # a key of _READERS
     sample_rate_hz: float | None = None
     channel: int = 0
 
@@ -86,13 +86,9 @@ def read_input(desc: InputDescriptor) -> TimeSeries:
     in chunks and blocks (see ``TimeSeries``), so it must not change while
     the series is in use.
     """
-    if desc.format == "wav16":
-        return _read_wav16(desc)
-    if desc.format == "csv":
-        return _read_csv(desc)
-    if desc.format == "raw_f64le":
-        return _read_raw(desc)
-    raise ValueError(f"unknown input format {desc.format!r}")
+    if desc.format not in _READERS:
+        raise ValueError(f"unknown input format {desc.format!r}")
+    return _READERS[desc.format](desc)
 
 
 def _read_wav16(desc: InputDescriptor) -> TimeSeries:
@@ -105,8 +101,9 @@ def _read_wav16(desc: InputDescriptor) -> TimeSeries:
             nch = wf.getnchannels()
             fs = float(wf.getframerate())
             frames = wf.readframes(wf.getnframes())
-    except wave.Error as e:
-        raise ValueError(f"wav: malformed header in {desc.path}: {e}") from e
+    except (wave.Error, EOFError) as e:  # wave raises a bare EOFError for a short file
+        raise ValueError(f"wav: malformed header in {desc.path}: "
+                         f"{str(e) or 'the file is empty or truncated'}") from e
     data = np.frombuffer(frames, dtype="<i2")
     if data.size == 0:
         raise ValueError(f"wav: zero samples in {desc.path}")
@@ -149,6 +146,10 @@ def _read_raw(desc: InputDescriptor) -> TimeSeries:
     if size == 0:  # checked here: np.memmap refuses an empty file
         raise ValueError(f"raw: zero samples in {desc.path}")
     return TimeSeries(np.memmap(desc.path, dtype="<f8", mode="r"), desc.sample_rate_hz)
+
+
+# the input formats, each with its reader, in the order --help lists them
+_READERS = {"wav16": _read_wav16, "csv": _read_csv, "raw_f64le": _read_raw}
 
 
 def write_raw_f64le(path: str, samples: np.ndarray) -> None:
@@ -225,9 +226,15 @@ def _threads(args) -> int:
 
 def _block_samples(flag: str, value: float, unit: str, fs_hz: float) -> int:
     """``value`` in ``unit`` ('samples', 'ms' or 's') as the nearest whole
-    number of samples at ``fs_hz``; ``flag`` names a value that gives none."""
-    samples = {"samples": value, "ms": value * fs_hz / 1000.0, "s": value * fs_hz}[unit]
-    if not math.isfinite(samples):
+    number of samples at ``fs_hz``; ``flag`` names a value that gives none.
+    An int number of samples is taken as it is, with no float round trip."""
+    samples = value if unit == "samples" else value * fs_hz / (1000.0 if unit == "ms" else 1.0)
+    try:
+        finite = math.isfinite(samples)
+    except OverflowError:  # an int that no float holds
+        raise CliError("invalid-config", f"{flag} gives no finite block length: "
+                       "an integer beyond the float range") from None
+    if not finite:
         raise CliError("invalid-config", f"{flag} gives no finite block length: {value:g}")
     return int(round(samples))
 
@@ -252,17 +259,12 @@ def _block_fits(n: int, b: int, k: int) -> bool:
     return True
 
 
-def _input_descriptor(args) -> InputDescriptor:
+def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
     fmt = args.format
     if fmt is None:
         ext = os.path.splitext(args.input)[1].lower()
         fmt = {"wav": "wav16", "csv": "csv"}.get(ext.lstrip("."), "raw")
-    fmt = {"raw": "raw_f64le", "wav16": "wav16", "csv": "csv", "raw_f64le": "raw_f64le"}[fmt]
-    return InputDescriptor(args.input, fmt, args.fs, args.channel)
-
-
-def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
-    desc = _input_descriptor(args)
+    desc = InputDescriptor(args.input, "raw_f64le" if fmt == "raw" else fmt, args.fs, args.channel)
     try:
         return read_input(desc), desc
     except ValueError as e:
@@ -516,7 +518,7 @@ def cmd_bandwidth(args) -> int:
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input data file")
-    p.add_argument("--format", choices=["wav16", "csv", "raw", "raw_f64le"],
+    p.add_argument("--format", choices=[*_READERS, "raw"],
                    help="input format (default: by extension, else raw float64)")
     p.add_argument("--fs", type=float, help="sample rate in Hz (required for csv/raw)")
     p.add_argument("--channel", type=int, default=0, help="wav channel index")
@@ -610,6 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the code of each exception that reaches main, in README's order; the first
+# match wins, so KTooLargeError comes before ValueError, its base class
+_ERROR_CODES = {KTooLargeError: "k-too-large", ExcessiveSkipsError: "excessive-skips",
+                OSError: "io-error", ValueError: "invalid-config"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -618,20 +626,10 @@ def main(argv=None) -> int:
             raise CliError("invalid-config",
                            f"--fs must be {'finite' if fs > 0 else 'positive'}, got {fs:g}")
         return args.func(args)
-    except CliError as e:
-        _error_json(e.code, str(e))
-        return 1
-    except ExcessiveSkipsError as e:
-        _error_json("excessive-skips", str(e))
-        return 1
-    except KTooLargeError as e:
-        _error_json("k-too-large", str(e))
-        return 1
-    except OSError as e:
-        _error_json("io-error", str(e))
-        return 1
-    except ValueError as e:
-        _error_json("invalid-config", str(e))
+    except (CliError, *_ERROR_CODES) as e:
+        code = e.code if isinstance(e, CliError) else next(
+            c for kind, c in _ERROR_CODES.items() if isinstance(e, kind))
+        _error_json(code, str(e))
         return 1
 
 

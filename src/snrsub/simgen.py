@@ -126,12 +126,9 @@ class NoiseSpec:
         return math.sqrt(self.variance * (1.0 - self.phi * self.phi))
 
     def sample(self, n: int, seed) -> np.ndarray:
-        rng = _as_rng(seed)
-        if self.kind == "white":
-            return rng.normal(0.0, math.sqrt(self.variance), size=n)
-        if self.kind == "ar1":
-            return gen_ar1(self.phi, self.variance, n, rng)
-        return gen_powerlaw(self.beta, self.variance, n, rng)
+        if self.kind == "ar1":  # a long series needs the chunked scan of gen_ar1
+            return gen_ar1(self.phi, self.variance, n, seed)
+        return next(self.slabs(1, n, 1, seed))[0]
 
     def sample_rows(self, rows: int, n: int, seed) -> np.ndarray:
         """(rows, n) array whose rows equal ``rows`` consecutive ``sample(n, rng)``

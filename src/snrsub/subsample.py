@@ -56,6 +56,7 @@ __all__ = [
 # undefined at 0); relative, so the floor does not depend on the input's scale
 VARIANCE_FLOOR = 1e-12
 SKIP_BUDGET = 0.10
+MIN_B1 = 4  # the shortest secondary window, so its variance stays meaningful
 
 
 class ExcessiveSkipsError(RuntimeError):
@@ -78,8 +79,8 @@ class KTooLargeError(ValueError):
 
 
 def default_b1(b: int) -> int:
-    """Secondary window floor(b**(2/5)), floored at 4 to keep the variance meaningful."""
-    return max(4, int(math.floor(b ** 0.4 + 1e-9)))
+    """Secondary window floor(b**(2/5)), floored at ``MIN_B1``."""
+    return max(MIN_B1, int(math.floor(b ** 0.4 + 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class SubsampleConfig:
     ``b`` is the primary block length in samples (at least
     ``MIN_BLOCK_SAMPLES`` so the smoother has a workable window), ``b1`` the
     secondary window for the noise variance (defaults to floor(b**(2/5)),
-    never below 4), ``k_blocks`` the number of random blocks, and ``seed``
+    never below ``MIN_B1``), ``k_blocks`` the number of random blocks, and ``seed``
     the master seed.  With ``shared_bandwidth`` the cross-validation runs
     once on the first drawn block and its bandwidth is reused everywhere;
     this is an approximation that trades the per-block adaptation for speed.
@@ -111,8 +112,8 @@ class SubsampleConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         b1 = default_b1(self.b) if self.b1 is None else int(self.b1)
-        if not (4 <= b1 < self.b):
-            raise ValueError(f"need 4 <= b1 < b, got b1={b1}, b={self.b}")
+        if not (MIN_B1 <= b1 < self.b):
+            raise ValueError(f"need {MIN_B1} <= b1 < b, got b1={b1}, b={self.b}")
         object.__setattr__(self, "b1", b1)
 
 

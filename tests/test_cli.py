@@ -627,7 +627,8 @@ class TestBandwidthCmd:
 # Every failure path reaches ``main``'s error JSON: (argv, code, message).
 # {raw} and {wav} are 0.25 s AR recordings (11025 samples), {flat} 4000 zeros,
 # {nan} 3999 ones and a NaN, {empty} an empty file
-# at 1 kHz, {tmp} a scratch directory.
+# at 1 kHz, {empty_wav} an empty .wav file, {riff_wav} a .wav file holding
+# only b"RIFF", {tmp} a scratch directory.
 ERROR_TABLE = {
     "missing-input": (
         ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441"],
@@ -770,6 +771,36 @@ ERROR_TABLE = {
         ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min", "500",
          "--grid-max", "900", "--k", "16"],
         "grid-infeasible", "grid reduces to 0 feasible candidates; need at least 5"),
+    # an int that argparse takes but no float holds (311 digits)
+    "estimate-block-samples-beyond-float": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "1" * 311],
+        "invalid-config",
+        "--block-samples gives no finite block length: an integer beyond the float range"),
+    "bandwidth-block-samples-beyond-float": (
+        ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-samples", "9" * 400],
+        "invalid-config",
+        "--block-samples gives no finite block length: an integer beyond the float range"),
+    "estimate-empty-wav": (
+        ["estimate", "--input", "{empty_wav}", "--block-samples", "100"],
+        "bad-input", "wav: malformed header in {empty_wav}: the file is empty or truncated"),
+    "estimate-truncated-wav": (
+        ["estimate", "--input", "{riff_wav}", "--block-samples", "100"],
+        "bad-input", "wav: malformed header in {riff_wav}: the file is empty or truncated"),
+    "estimate-levels-unparsable": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441",
+         "--levels", "x"],
+        "invalid-config", "--levels: cannot parse 'x'"),
+    "estimate-levels-repeated": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441",
+         "--levels", "0.5,0.5"],
+        "invalid-config", "--levels: levels must be strictly increasing"),
+    "estimate-ci-out-of-range": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441",
+         "--ci", "1.5"],
+        "invalid-config", "--ci: levels must lie in (0, 1)"),
+    "mc-levels-decreasing": (
+        ["mc", "--design", "ar", "--snr", "6", "--levels", "0.9,0.1", "--quick"],
+        "invalid-config", "--levels: levels must be strictly increasing"),
 }
 
 
@@ -782,9 +813,11 @@ def recordings(tmp_path_factory):
     write_raw_f64le(str(tmp / "flat.raw"), np.zeros(4000))
     write_raw_f64le(str(tmp / "nan.raw"), np.append(np.ones(3999), math.nan))
     (tmp / "empty.raw").write_bytes(b"")
+    (tmp / "empty.wav").write_bytes(b"")
+    (tmp / "riff.wav").write_bytes(b"RIFF")
     return {name: str(tmp / file) for name, file in (
         ("raw", "ar.raw"), ("wav", "ar.wav"), ("flat", "flat.raw"), ("nan", "nan.raw"),
-        ("empty", "empty.raw"))}
+        ("empty", "empty.raw"), ("empty_wav", "empty.wav"), ("riff_wav", "riff.wav"))}
 
 
 class TestErrorTable:

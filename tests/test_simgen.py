@@ -250,6 +250,17 @@ class TestNoiseSpec:
         assert got.shape == (rows, n) and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("variance", [2.0, 0.0])
+    @pytest.mark.parametrize("n", [1, 17, 1024])
+    def test_white_sample_equals_rng_normal(self, variance, n):
+        # sample and sample_rows both draw white noise through the slabs, so
+        # the reference is numpy's own draw; at variance 0 every value is +0.0
+        got = NoiseSpec.white(variance).sample(n, derive_rng(8))
+        want = derive_rng(8).normal(0.0, math.sqrt(variance), size=n)
+        assert got.tobytes() == want.tobytes()
+        if variance == 0.0:
+            assert got.tobytes() == np.zeros(n).tobytes()
+
     @pytest.mark.parametrize("spec", [NoiseSpec.white(2.0), NoiseSpec.ar1(-0.7, 1.0),
                                       NoiseSpec.powerlaw(0.6, 1.0)])
     @pytest.mark.parametrize("count,slab", [(0, 4), (1, 4), (7, 3), (8, 4), (5, 8)])
