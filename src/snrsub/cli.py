@@ -104,6 +104,8 @@ def _read_wav16(desc: InputDescriptor) -> TimeSeries:
     except (wave.Error, EOFError) as e:  # wave raises a bare EOFError for a short file
         raise ValueError(f"wav: malformed header in {desc.path}: "
                          f"{str(e) or 'the file is empty or truncated'}") from e
+    if len(frames) % (2 * nch):
+        raise ValueError(f"wav: truncated data in {desc.path}: the data ends inside a frame")
     data = np.frombuffer(frames, dtype="<i2")
     if data.size == 0:
         raise ValueError(f"wav: zero samples in {desc.path}")
@@ -196,12 +198,16 @@ def _error_json(code: str, message: str) -> None:
     }))
 
 
-def _parse_levels(text: str, name: str) -> tuple[float, ...]:
+def _parse_floats(text: str, name: str) -> tuple[float, ...]:
     try:
-        levels = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise CliError("invalid-config", f"{name}: cannot parse {text!r}") from None
-    if not levels or any(not (0.0 < g < 1.0) for g in levels):
+
+
+def _parse_levels(text: str, name: str) -> tuple[float, ...]:
+    levels = _parse_floats(text, name)
+    if any(not (0.0 < g < 1.0) for g in levels):
         raise CliError("invalid-config", f"{name}: levels must lie in (0, 1)")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise CliError("invalid-config", f"{name}: levels must be strictly increasing")
@@ -400,6 +406,8 @@ def cmd_select_block(args) -> int:
     threads = _threads(args)
     for flag, v in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
         _block_samples(flag, v, args.grid_unit, fs)  # before linspace turns a non-finite end to NaN
+    if args.grid_steps < 0:
+        raise CliError("invalid-config", f"--grid-steps must be non-negative, got {args.grid_steps}")
     raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     # k is checked before the screen; select_block_size sets b per candidate
     cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
@@ -461,8 +469,8 @@ def cmd_mc(args) -> int:
     if args.quick:
         replicas, duration, k, oracle_replicas = 3, 0.5, 48, 500
     levels = _parse_levels(args.levels, "--levels")
-    blocks = tuple(_block_samples("--b-ms", float(ms), "ms", args.fs)
-                   for ms in args.b_ms.split(","))
+    blocks = tuple(_block_samples("--b-ms", ms, "ms", args.fs)
+                   for ms in _parse_floats(args.b_ms, "--b-ms"))
     spec = ExperimentSpec(
         design=args.design,
         true_snr_db=args.snr,

@@ -126,8 +126,6 @@ class NoiseSpec:
         return math.sqrt(self.variance * (1.0 - self.phi * self.phi))
 
     def sample(self, n: int, seed) -> np.ndarray:
-        if self.kind == "ar1":  # a long series needs the chunked scan of gen_ar1
-            return gen_ar1(self.phi, self.variance, n, seed)
         return next(self.slabs(1, n, 1, seed))[0]
 
     def sample_rows(self, rows: int, n: int, seed) -> np.ndarray:
@@ -141,13 +139,14 @@ class NoiseSpec:
 
         Each slab is a (rows, n) view of one work buffer, allocated once and
         overwritten when the iteration resumes, so copy what must outlive it.
-        Its rows are contiguous, but an AR(1) slab is not.
+        Its rows are contiguous, but an AR(1) slab is not.  ``sample`` is a
+        one-row slab, so each kind has one synthesis path (``gen_ar1`` too).
         """
         rng = _as_rng(seed)
         if self.kind == "white":
             return _white_slabs(math.sqrt(self.variance), count, n, slab, rng)
         if self.kind == "ar1":
-            return _ar1_slabs(self.phi, self.variance, count, n, slab, rng)
+            return _ar1_slabs(self.phi, self.ar1_innovation_sd, count, n, slab, rng)
         return _powerlaw_slabs(self.beta, self.variance, count, n, slab, rng)
 
     def describe(self) -> dict:
@@ -208,20 +207,10 @@ def _sine_samples(spec: SignalSpec) -> np.ndarray:
 
 
 def gen_ar1(phi: float, target_variance: float, n: int, seed) -> np.ndarray:
-    """Gaussian AR(1) with stationary variance ``target_variance``.
-
-    The innovation sd is sqrt(target_variance * (1 - phi**2)); a 1000-sample
-    burn-in is generated and discarded to wash out the zero initial state.
-    x_t = u_t + phi * x_{t-1} runs as ``_ar1_scan``, bit-identical to
-    ``scipy.signal.lfilter([1], [1, -phi], u)``.
-    """
-    if not abs(phi) < 1:
-        raise ValueError(f"|phi| must be < 1, got {phi}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = _as_rng(seed)
-    sd = math.sqrt(target_variance * (1.0 - phi * phi))
-    return _ar1_scan(rng.normal(0.0, sd, size=n + AR1_BURN_IN), phi)[AR1_BURN_IN:]
+    """Gaussian AR(1) with stationary variance ``target_variance`` past a
+    1000-sample burn-in: the one-row slab ``NoiseSpec.ar1(...).sample(n, seed)``,
+    bit-identical to ``scipy.signal.lfilter([1], [1, -phi], u)`` on its innovations."""
+    return NoiseSpec.ar1(phi, target_variance).sample(n, seed)
 
 
 def _ar1_steps(x: np.ndarray, phi: float) -> None:
@@ -246,31 +235,33 @@ def _ar1_chunk_length(size: int, warmup: int) -> int:
 
 
 def _ar1_scan(u: np.ndarray, phi: float) -> np.ndarray:
-    """The AR(1) recursion of ``u``, in place, bit-identical to the sequential one.
+    """The AR(1) recursion along each row of ``u`` (rows, size), in place,
+    bit-identical to the sequential one.
 
-    Row c of the chunk matrix holds u[c*length - warmup:(c + 1)*length], zero
-    before u starts, and runs from a zero state; all rows step together in
-    one ``_ar1_steps`` loop over the time-major view.  Row 0 starts at the
-    true zero state and the recursion is deterministic, so when every row
-    equals its predecessor at its last warm-up step, every row is exact;
-    otherwise the warm-up doubles and the scan reruns.  One chunk is the
-    sequential recursion itself.
-    """
+    Chunk c of row r holds u[r, c*length - warmup:(c + 1)*length], zero
+    before the row starts, and runs from a zero state: the chunks are the
+    rows of one chunk-major matrix, stepped together by one ``_ar1_steps``
+    loop over its time-major view.  Chunk 0 starts at the true zero state
+    and the recursion is deterministic, so when every chunk equals its
+    predecessor at its last warm-up step, every chunk is exact; otherwise
+    the warm-up doubles and the scan reruns.  Rows are chunked only where
+    that at least halves the loop's steps (not an oracle slab's rows)."""
+    rows, size = u.shape
     warmup = _ar1_warmup(phi)
     while True:
         length = _ar1_chunk_length(u.size, warmup)
-        if length >= u.size:
-            _ar1_steps(u[:, None], phi)
+        if 2 * (warmup + length) > size:
+            _ar1_steps(u.T, phi)
             return u
-        m = np.zeros((-(-u.size // length), warmup + length))
-        for c, row in enumerate(m):
-            seg = u[max(c * length - warmup, 0):(c + 1) * length]
-            row[max(warmup - c * length, 0):][:seg.size] = seg
-        _ar1_steps(m.T, phi)
-        if np.array_equal(m[1:, warmup - 1], m[:-1, -1], equal_nan=True):
-            for c, row in enumerate(m):
-                out = u[c * length:(c + 1) * length]
-                out[:] = row[warmup:warmup + out.size]
+        m = np.zeros((-(-size // length), rows, warmup + length))
+        for c, mc in enumerate(m):
+            seg = u[:, max(c * length - warmup, 0):(c + 1) * length]
+            mc[:, max(warmup - c * length, 0):][:, :seg.shape[1]] = seg
+        flat = m.reshape(-1, warmup + length)
+        _ar1_steps(flat.T, phi)
+        if np.array_equal(flat[rows:, warmup - 1], flat[:-rows, -1], equal_nan=True):
+            for c, mc in enumerate(m):
+                u[:, c * length:(c + 1) * length] = mc[:, warmup:][:, :size - c * length]
             return u
         warmup *= 2
 
@@ -359,23 +350,21 @@ def _irfft_rows(coef: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ar1_slabs(phi: float, target_variance: float, count: int, n: int, slab: int,
+def _ar1_slabs(phi: float, sd: float, count: int, n: int, slab: int,
                rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``count`` consecutive ``gen_ar1`` series from one generator, bit for
-    bit, ``slab`` rows at a time.
+    """``count`` consecutive AR(1) series of innovation sd ``sd`` from one
+    generator, ``slab`` rows at a time: the one AR(1) synthesis.
 
-    A slab is the (rows, n) view past the burn-in of one buffer of innovations,
-    turned into the series in place by one ``_ar1_steps`` loop over its columns.
+    A slab is the (rows, n) view past the burn-in of one buffer of
+    innovations, turned into the series in place by ``_ar1_scan``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sd = math.sqrt(target_variance * (1.0 - phi * phi))
     u = np.empty((min(slab, count), n + AR1_BURN_IN))
     for lo in range(0, count, slab):
         ur = u[:min(slab, count - lo)]
         _normal_into(rng, sd, ur)
-        _ar1_steps(ur.T, phi)
-        yield ur[:, AR1_BURN_IN:]
+        yield _ar1_scan(ur, phi)[:, AR1_BURN_IN:]
 
 
 def gen_design(design: str, target_snr_db: float, fs_hz: float, duration_s: float,

@@ -801,6 +801,18 @@ ERROR_TABLE = {
     "mc-levels-decreasing": (
         ["mc", "--design", "ar", "--snr", "6", "--levels", "0.9,0.1", "--quick"],
         "invalid-config", "--levels: levels must be strictly increasing"),
+    "estimate-odd-byte-wav": (
+        ["estimate", "--input", "{odd_wav}", "--block-samples", "100"],
+        "bad-input", "wav: truncated data in {odd_wav}: the data ends inside a frame"),
+    "mc-b-ms-empty": (
+        ["mc", "--design", "ar", "--snr", "6", "--b-ms", "", "--quick"],
+        "invalid-config", "--b-ms: cannot parse ''"),
+    "mc-b-ms-unparsable": (
+        ["mc", "--design", "ar", "--snr", "6", "--b-ms", "10,x", "--quick"],
+        "invalid-config", "--b-ms: cannot parse '10,x'"),
+    "select-block-grid-steps-negative": (
+        ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-steps", "-1"],
+        "invalid-config", "--grid-steps must be non-negative, got -1"),
 }
 
 
@@ -815,9 +827,11 @@ def recordings(tmp_path_factory):
     (tmp / "empty.raw").write_bytes(b"")
     (tmp / "empty.wav").write_bytes(b"")
     (tmp / "riff.wav").write_bytes(b"RIFF")
+    (tmp / "odd.wav").write_bytes((tmp / "ar.wav").read_bytes()[:-1001])  # ends inside a sample
     return {name: str(tmp / file) for name, file in (
         ("raw", "ar.raw"), ("wav", "ar.wav"), ("flat", "flat.raw"), ("nan", "nan.raw"),
-        ("empty", "empty.raw"), ("empty_wav", "empty.wav"), ("riff_wav", "riff.wav"))}
+        ("empty", "empty.raw"), ("empty_wav", "empty.wav"), ("riff_wav", "riff.wav"),
+        ("odd_wav", "odd.wav"))}
 
 
 class TestErrorTable:

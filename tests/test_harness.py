@@ -16,7 +16,7 @@ from snrsub.harness import (
     oracle_quantiles,
     quantile_mae,
 )
-from snrsub.simgen import calibrate_amplitude, derive_rng, design_noise, gen_design
+from snrsub.simgen import AR1_BURN_IN, calibrate_amplitude, derive_rng, design_noise, gen_design
 from snrsub.subsample import ExcessiveSkipsError, KTooLargeError, default_b1
 
 from conftest import traced_peak
@@ -154,6 +154,17 @@ def reference_block_power(amp, starts, b, fs):
     return out
 
 
+def reference_noise(noise, n, rng):
+    """One draw of ``noise``; AR(1) noise is ``scipy.signal.lfilter`` on the
+    same innovations, so it does not run the slab synthesis under test."""
+    if noise.kind != "ar1":
+        return noise.sample(n, rng)
+    from scipy.signal import lfilter
+
+    u = rng.normal(0.0, math.sqrt(noise.variance * (1.0 - noise.phi ** 2)), size=n + AR1_BURN_IN)
+    return lfilter([1.0], [1.0, -noise.phi], u)[AR1_BURN_IN:]
+
+
 def reference_oracle_draws(design, snr, b, replicas, seed, fs=44100.0, duration=3.0):
     """The oracle one draw at a time: all starts first, then each draw's noise."""
     noise = design_noise(design, 1.0)
@@ -162,7 +173,7 @@ def reference_oracle_draws(design, snr, b, replicas, seed, fs=44100.0, duration=
     rng = derive_rng(seed)
     starts = rng.integers(1, int(round(duration * fs)) - b + 2, size=replicas)
     u = reference_block_power(calibrate_amplitude(snr, 1.0), starts, b, fs)
-    v = np.array([np.var(noise.sample(draw_len, rng)[:b1]) for _ in range(replicas)])
+    v = np.array([np.var(reference_noise(noise, draw_len, rng)[:b1]) for _ in range(replicas)])
     return 10.0 * np.log10(u / v)
 
 

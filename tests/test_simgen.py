@@ -98,6 +98,16 @@ def lfilter_ar1(phi, variance, n, seed):
     return lfilter([1.0], [1.0, -phi], u)[AR1_BURN_IN:]
 
 
+def lfilter_ar1_rows(phi, variance, rows, n, rng):
+    """``rows`` consecutive ``lfilter_ar1`` series, each from the next
+    innovations of ``rng``."""
+    from scipy.signal import lfilter
+
+    sd = math.sqrt(variance * (1.0 - phi * phi))
+    return np.array([lfilter([1.0], [1.0, -phi], rng.normal(0.0, sd, size=n + AR1_BURN_IN))[AR1_BURN_IN:]
+                     for _ in range(rows)])
+
+
 def chunk_edges(phi):
     """Lengths n around two changes of the scan's chunk count, the first
     from the burn-in on and the first from 300 000 samples on (burn-in
@@ -269,6 +279,22 @@ class TestNoiseSpec:
         assert [r.shape[0] for r in got] == [min(slab, count - lo) for lo in range(0, count, slab)]
         want = spec.sample_rows(count, 64, derive_rng(4))
         assert np.concatenate(got or [np.empty((0, 64))]).tobytes() == want.tobytes()
+
+    # sample and sample_rows both run the AR(1) slabs, so rows are checked
+    # against lfilter: (3, 300 000) chunks its rows, and (259, 11) and
+    # (115, 11) are the oracle's full and last slabs at 4000 draws
+    @pytest.mark.parametrize("phi", [-0.7, 0.999])
+    @pytest.mark.parametrize("rows,n", [(3, 300_000), (259, 11), (115, 11)])
+    def test_ar1_rows_are_bit_identical_to_lfilter(self, phi, rows, n):
+        got = NoiseSpec.ar1(phi, 2.0).sample_rows(rows, n, derive_rng(6))
+        assert got.tobytes() == lfilter_ar1_rows(phi, 2.0, rows, n, derive_rng(6)).tobytes()
+
+    @pytest.mark.parametrize("phi", [-0.7, 0.999])
+    def test_ar1_uneven_slabs_are_bit_identical_to_lfilter(self, phi):
+        got = [rows.copy() for rows in NoiseSpec.ar1(phi, 2.0).slabs(5, 300_000, 2, derive_rng(7))]
+        assert [r.shape[0] for r in got] == [2, 2, 1]
+        want = lfilter_ar1_rows(phi, 2.0, 5, 300_000, derive_rng(7))
+        assert np.concatenate(got).tobytes() == want.tobytes()
 
     def test_sample_rows_bounds(self):
         with pytest.raises(ValueError):
