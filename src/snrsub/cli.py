@@ -100,12 +100,17 @@ def _read_wav16(desc: InputDescriptor) -> TimeSeries:
                 raise ValueError(f"wav: only PCM 16-bit supported, got {8 * wf.getsampwidth()}-bit")
             nch = wf.getnchannels()
             fs = float(wf.getframerate())
-            frames = wf.readframes(wf.getnframes())
+            declared = wf.getnframes()
+            frames = wf.readframes(declared)
     except (wave.Error, EOFError) as e:  # wave raises a bare EOFError for a short file
         raise ValueError(f"wav: malformed header in {desc.path}: "
                          f"{str(e) or 'the file is empty or truncated'}") from e
     if len(frames) % (2 * nch):
         raise ValueError(f"wav: truncated data in {desc.path}: the data ends inside a frame")
+    # a writer that cannot seek leaves the data size at its 0xFFFFFFFF placeholder
+    if len(frames) < declared * 2 * nch and declared != 0xFFFFFFFF // (2 * nch):
+        raise ValueError(f"wav: truncated data in {desc.path}: the header declares "
+                         f"{declared} frames, the file holds {len(frames) // (2 * nch)}")
     data = np.frombuffer(frames, dtype="<i2")
     if data.size == 0:
         raise ValueError(f"wav: zero samples in {desc.path}")
@@ -283,6 +288,8 @@ def cmd_simulate(args) -> int:
     fs = args.fs
     if not SIGNAL_FREQ_HZ < fs / 2 and args.design != "noise-only":
         raise CliError("nyquist", f"{SIGNAL_FREQ_HZ:g} Hz signal violates Nyquist at rate {fs} Hz")
+    if not math.isfinite(args.amplitude):  # the manifest echoes it for every design
+        raise CliError("invalid-config", f"--amplitude must be finite, got {args.amplitude:g}")
     seed = args.seed
     design = args.design
     noise_var = args.noise_variance
@@ -309,10 +316,13 @@ def cmd_simulate(args) -> int:
                    "noise": design_noise(design, noise_var).describe(),
                    "true_snr_db": args.snr}
     elif design == "sine-only":
-        spec = SignalSpec(args.amplitude, SIGNAL_FREQ_HZ, fs, args.duration)
-        series = gen_sine(spec)
-        derived = {"amplitude": args.amplitude,
-                   "signal_power": args.amplitude ** 2 / 2.0,
+        try:
+            power = args.amplitude ** 2 / 2.0
+        except OverflowError:  # a float's ** raises past the float range
+            raise CliError("invalid-config",
+                           f"--amplitude {args.amplitude:g} gives no finite signal power") from None
+        series = gen_sine(SignalSpec(args.amplitude, SIGNAL_FREQ_HZ, fs, args.duration))
+        derived = {"amplitude": args.amplitude, "signal_power": power,
                    "noise": None, "true_snr_db": None}
     else:  # noise-only; argparse admits no other design
         noise = (NoiseSpec.white(noise_var) if args.noise == "white"

@@ -32,7 +32,6 @@ __all__ = [
 
 AR1_BURN_IN = 1000
 SIGNAL_FREQ_HZ = 50.0
-_IRFFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # np.fft.irfft takes out=
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -308,8 +307,8 @@ def _powerlaw_slabs(beta: float, target_variance: float, count: int, n: int, sla
     holds the slab's normals: one (rows, 2, n//2) draw, the stream of ``rows``
     draws of (2, n//2).  The coefficients are built from them and the inverse
     FFT overwrites them; it and the row-wise mean and scaling round as the
-    one-row calls do.  Each row's sum of squares stays its own dot product,
-    since a row-wise einsum rounds differently.
+    one-row calls do.  Each row's sum of squares is its own BLAS dot, through
+    ``np.vecdot``, since a row-wise einsum rounds differently.
     """
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
@@ -334,20 +333,10 @@ def _powerlaw_slabs(beta: float, target_variance: float, count: int, n: int, sla
             coef[:rows, -1] = nyquist * g[:, 0, -1]
         if lo + rows == count:
             del scale  # a single series does not hold it through the inverse FFT
-        xs = _irfft_rows(coef[:rows], n, x[:rows])
+        xs = np.fft.irfft(coef[:rows], n, axis=-1, out=x[:rows])
         xs -= xs.mean(axis=1, keepdims=True)
-        for r in xs:
-            r *= math.sqrt(target_variance * n / float(r @ r))
+        xs *= np.sqrt(target_variance * n / np.vecdot(xs, xs))[:, None]
         yield xs
-
-
-def _irfft_rows(coef: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """``np.fft.irfft(coef, n, axis=-1)`` written into ``out``: in place from
-    NumPy 2.0, which added the argument, and copied on NumPy 1.x."""
-    if _IRFFT_OUT:
-        return np.fft.irfft(coef, n, axis=-1, out=out)
-    out[...] = np.fft.irfft(coef, n, axis=-1)
-    return out
 
 
 def _ar1_slabs(phi: float, sd: float, count: int, n: int, slab: int,

@@ -269,6 +269,18 @@ class TestEstimate:
         lo, hi = ci["0.9"]
         assert lo <= q["0.5"] <= hi
 
+    def test_wav_of_unknown_size_is_read_whole(self, tmp_path, capsys, recordings):
+        # a writer that cannot seek leaves the RIFF and data sizes at 0xFFFFFFFF
+        wav = bytearray(Path(recordings["wav"]).read_bytes())
+        at = wav.index(b"data") + 4
+        wav[4:8] = wav[at:at + 4] = b"\xff" * 4
+        path = tmp_path / "stream.wav"
+        path.write_bytes(wav)
+        code, stdout, _ = run_cli(capsys, "estimate", "--input", str(path),
+                                  "--block-samples", "441", "--k", "16")
+        assert code == 0
+        assert json.loads(stdout)["config"]["n"] == 11025
+
     def test_block_seconds(self, tmp_path, capsys):
         path, _ = simulate_ar(tmp_path, capsys)
         code, stdout, _ = run_cli(
@@ -628,7 +640,8 @@ class TestBandwidthCmd:
 # {raw} and {wav} are 0.25 s AR recordings (11025 samples), {flat} 4000 zeros,
 # {nan} 3999 ones and a NaN, {empty} an empty file
 # at 1 kHz, {empty_wav} an empty .wav file, {riff_wav} a .wav file holding
-# only b"RIFF", {tmp} a scratch directory.
+# only b"RIFF", {odd_wav} and {short_wav} {wav} cut 1001 and 1000 bytes short,
+# {tmp} a scratch directory.
 ERROR_TABLE = {
     "missing-input": (
         ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441"],
@@ -804,6 +817,22 @@ ERROR_TABLE = {
     "estimate-odd-byte-wav": (
         ["estimate", "--input", "{odd_wav}", "--block-samples", "100"],
         "bad-input", "wav: truncated data in {odd_wav}: the data ends inside a frame"),
+    "estimate-short-wav": (
+        ["estimate", "--input", "{short_wav}", "--block-samples", "100"],
+        "bad-input",
+        "wav: truncated data in {short_wav}: the header declares 11025 frames, the file holds 10525"),
+    "simulate-amplitude-overflow": (
+        ["simulate", "--design", "sine-only", "--amplitude", "1e200", "--duration", "0.1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "--amplitude 1e+200 gives no finite signal power"),
+    "simulate-amplitude-inf": (
+        ["simulate", "--design", "ar", "--amplitude", "inf", "--duration", "0.1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "--amplitude must be finite, got inf"),
+    "simulate-amplitude-nan": (
+        ["simulate", "--design", "sine-only", "--amplitude", "nan", "--duration", "0.1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "--amplitude must be finite, got nan"),
     "mc-b-ms-empty": (
         ["mc", "--design", "ar", "--snr", "6", "--b-ms", "", "--quick"],
         "invalid-config", "--b-ms: cannot parse ''"),
@@ -828,10 +857,11 @@ def recordings(tmp_path_factory):
     (tmp / "empty.wav").write_bytes(b"")
     (tmp / "riff.wav").write_bytes(b"RIFF")
     (tmp / "odd.wav").write_bytes((tmp / "ar.wav").read_bytes()[:-1001])  # ends inside a sample
+    (tmp / "short.wav").write_bytes((tmp / "ar.wav").read_bytes()[:-1000])  # ends on a frame
     return {name: str(tmp / file) for name, file in (
         ("raw", "ar.raw"), ("wav", "ar.wav"), ("flat", "flat.raw"), ("nan", "nan.raw"),
         ("empty", "empty.raw"), ("empty_wav", "empty.wav"), ("riff_wav", "riff.wav"),
-        ("odd_wav", "odd.wav"))}
+        ("odd_wav", "odd.wav"), ("short_wav", "short.wav"))}
 
 
 class TestErrorTable:

@@ -152,3 +152,22 @@ def test_simulating_ar_noise_leaves_scipy_unloaded(tmp_path):
     run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr or "scipy was imported"
     assert (tmp_path / "ar.f64").stat().st_size == 441_000 * 8
+
+
+def test_no_module_reads_the_numpy_version():
+    # NumPy 2.0 is the floor (pyproject.toml), so no code forks on the version;
+    # the package's own ``__version__ = ...`` is a store, not a read
+    found = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[-1] in ("__version__", "NumpyVersion")]
+    assert found == []

@@ -221,11 +221,18 @@ class TestGenPowerlaw:
         assert x.shape == (n,)
         assert hashlib.sha256(x.tobytes()).hexdigest()[:32] == sha
 
-    def test_irfft_copied_where_numpy_has_no_out(self, monkeypatch):
-        spec = NoiseSpec.powerlaw(0.6, 1.0)
-        want = spec.sample_rows(3, 4096, 7)
-        monkeypatch.setattr(simgen, "_IRFFT_OUT", False)  # the NumPy 1.x path
-        assert spec.sample_rows(3, 4096, 7).tobytes() == want.tobytes()
+    # sha256 prefixes of multi-row slabs as the per-row rescale loop wrote
+    # them, which pin the row-wise rescale independently of the one-row calls:
+    # 65 rows in one slab, and 130 rows in slabs of 64, 64 and an uneven 2
+    def test_rows_pinned(self):
+        x = NoiseSpec.powerlaw(0.6, 1.0).sample_rows(65, 4096, 7)
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:32] == "daee724e702d272a8c58849f20093e86"
+
+    def test_uneven_slabs_pinned(self):
+        slabs = [rows.copy() for rows in NoiseSpec.powerlaw(0.2, 2.5).slabs(130, 4096, 64, 8)]
+        assert [rows.shape[0] for rows in slabs] == [64, 64, 2]
+        x = np.concatenate(slabs)
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:32] == "223fa52b533b095777da4e382f477d15"
 
 
 class TestNoiseSpec:
