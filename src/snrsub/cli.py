@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .harness import (ORACLE_REPLICAS, SCHEMA_VERSION, ExperimentSpec, McReport, dump_json,
-                      mc_reports)
+from .harness import ORACLE_REPLICAS, ExperimentSpec, McReport, dump_csv, dump_json, mc_reports
 from .simgen import (
     DESIGNS,
     SIGNAL_FREQ_HZ,
@@ -196,13 +195,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _error_json(code: str, message: str) -> None:
-    sys.stderr.write(dump_json({
-        "schema_version": SCHEMA_VERSION,
-        "error": {"code": code, "message": message},
-    }))
-
-
 def _parse_floats(text: str, name: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -270,12 +262,20 @@ def _block_fits(n: int, b: int, k: int) -> bool:
     return True
 
 
+def _check_nyquist(fs: float) -> None:
+    if not SIGNAL_FREQ_HZ < fs / 2:
+        raise CliError("nyquist", f"{SIGNAL_FREQ_HZ:g} Hz signal violates Nyquist at rate {fs} Hz")
+
+
 def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
     fmt = args.format
     if fmt is None:
         ext = os.path.splitext(args.input)[1].lower()
         fmt = {"wav": "wav16", "csv": "csv"}.get(ext.lstrip("."), "raw")
     desc = InputDescriptor(args.input, "raw_f64le" if fmt == "raw" else fmt, args.fs, args.channel)
+    if desc.channel and desc.format != "wav16":
+        raise CliError("invalid-config",
+                       f"--channel applies to wav16 input only, got {desc.channel} for {desc.format}")
     try:
         return read_input(desc), desc
     except ValueError as e:
@@ -286,15 +286,14 @@ def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
 
 def cmd_simulate(args) -> int:
     fs = args.fs
-    if not SIGNAL_FREQ_HZ < fs / 2 and args.design != "noise-only":
-        raise CliError("nyquist", f"{SIGNAL_FREQ_HZ:g} Hz signal violates Nyquist at rate {fs} Hz")
+    if args.design != "noise-only":
+        _check_nyquist(fs)
     if not math.isfinite(args.amplitude):  # the manifest echoes it for every design
         raise CliError("invalid-config", f"--amplitude must be finite, got {args.amplitude:g}")
     seed = args.seed
     design = args.design
     noise_var = args.noise_variance
     manifest: dict = {
-        "schema_version": SCHEMA_VERSION,
         "command": "simulate",
         "config": {
             "design": design,
@@ -372,7 +371,6 @@ def cmd_estimate(args) -> int:
     hs = np.sort(dist.h_hat[dist.kept])
     mid = hs.size // 2  # the middle value, or the mean of the middle two, as np.median
     report = {
-        "schema_version": SCHEMA_VERSION,
         "command": "estimate",
         "config": {
             "input": desc.path,
@@ -405,8 +403,7 @@ def cmd_estimate(args) -> int:
         report["timings"] = {"read_s": read_s, "estimate_s": elapsed, "threads": threads}
     _emit(dump_json(report), args.out)
     if args.snr_csv:
-        lines = ["snr_db"] + [repr(float(v)) for v in dist.snr_values]
-        _emit("\n".join(lines) + "\n", args.snr_csv)
+        _emit(dump_csv(("snr_db",), ((v,) for v in dist.snr_values)), args.snr_csv)
     return 0
 
 
@@ -439,7 +436,6 @@ def cmd_select_block(args) -> int:
         for i, b in enumerate(sel.candidates)
     ]
     report = {
-        "schema_version": SCHEMA_VERSION,
         "command": "select-block",
         "config": {
             "input": desc.path,
@@ -461,16 +457,13 @@ def cmd_select_block(args) -> int:
         },
     }
     _emit(dump_json(report), args.out)
-    if args.table_csv:
-        lines = ["b,b_ms,q_low,q_high,volatility"]
-        for row in table:
-            vol = "" if row["volatility"] is None else repr(row["volatility"])
-            lines.append(f'{row["b"]},{row["b_ms"]!r},{row["q_low"]!r},{row["q_high"]!r},{vol}')
-        _emit("\n".join(lines) + "\n", args.table_csv)
+    if args.table_csv:  # the columns of results.table, in its key order
+        _emit(dump_csv(table[0], (row.values() for row in table)), args.table_csv)
     return 0
 
 
 def cmd_mc(args) -> int:
+    _check_nyquist(args.fs)
     threads = _threads(args)
     replicas = args.replicas
     duration = args.duration
@@ -497,7 +490,6 @@ def cmd_mc(args) -> int:
     reports = mc_reports(spec, metrics, oracle_replicas=oracle_replicas, workers=threads)
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "mc",
         "config": {
             "design": spec.design,
@@ -526,9 +518,8 @@ def cmd_bandwidth(args) -> int:
     series, _ = _load_series(args)
     b = _resolve_block_samples(args, series.sample_rate_hz)
     fit = select_bandwidth(cut_block(series, args.start, b))
-    lines = ["h,cv,selected"] + [f"{h!r},{cv!r},{1 if h == fit.h_hat else 0}"
-                                 for h, cv in fit.cv_curve]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(dump_csv(("h", "cv", "selected"),
+                   ((h, cv, int(h == fit.h_hat)) for h, cv in fit.cv_curve)), args.out)
     return 0
 
 
@@ -647,7 +638,7 @@ def main(argv=None) -> int:
     except (CliError, *_ERROR_CODES) as e:
         code = e.code if isinstance(e, CliError) else next(
             c for kind, c in _ERROR_CODES.items() if isinstance(e, kind))
-        _error_json(code, str(e))
+        sys.stderr.write(dump_json({"error": {"code": code, "message": str(e)}}))
         return 1
 
 

@@ -21,6 +21,7 @@ from .core import CHUNK_SAMPLES, DependenceRegime, TimeSeries, empirical_quantil
 from .simgen import (
     AR1_BURN_IN,
     SIGNAL_FREQ_HZ,
+    SignalSpec,
     calibrate_amplitude,
     derive_rng,
     derive_seed,
@@ -69,8 +70,18 @@ ORACLE_REPLICAS = 4000  # default oracle draws; like ExperimentSpec's field defa
 
 
 def dump_json(payload: dict) -> str:
-    """Canonical JSON text: sorted keys, compact separators, one newline."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text of ``payload`` with its ``schema_version``: sorted
+    keys, compact separators, one newline."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dump_csv(header, rows) -> str:
+    """Canonical CSV text: the header, then one line per row, one newline at
+    the end.  A float cell is ``repr(float(v))``, None an empty cell, and any
+    other value ``str(v)``."""
+    return "".join(",".join("" if v is None else repr(float(v)) if isinstance(v, float)
+                            else str(v) for v in row) + "\n" for row in (header, *rows))
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,9 @@ class ExperimentSpec:
     """One Monte Carlo experiment cell family.
 
     Desk-scale defaults: 3 s at 44.1 kHz (n = 132,300), 100 replicas, K = 200
-    blocks, block lengths 10 ms and 15 ms in samples.  The run shape (n and
-    each block length against it and K) is checked here, before any work.
+    blocks, block lengths 10 ms and 15 ms in samples.  The run shape (the
+    50 Hz sine against the rate, n, and each block length against n and K)
+    is checked here, before any work.
     """
 
     design: str
@@ -103,8 +115,9 @@ class ExperimentSpec:
         bs = tuple(int(b) for b in self.block_lengths)
         if len(set(bs)) < len(bs):
             raise ValueError(f"block lengths must be distinct, got {bs}")
-        calibrate_amplitude(self.true_snr_db, self.noise_variance)  # a finite sine amplitude
-        n = sample_count(self.duration_s, self.fs_hz)
+        # a finite sine amplitude, below Nyquist at fs_hz, over a whole number of samples
+        n = SignalSpec(calibrate_amplitude(self.true_snr_db, self.noise_variance),
+                       SIGNAL_FREQ_HZ, self.fs_hz, self.duration_s).n
         for b in bs:
             SubsampleConfig(b=b, k_blocks=self.k_blocks)  # its own checks of b and k_blocks
             admissible_starts(n, b, self.k_blocks)
@@ -150,20 +163,10 @@ class McReport:
         return dump_json(self.payload)
 
     def to_csv(self) -> str:
-        lines = ["design,snr_db,b,metric,level,mean,se,replicas,failures"]
-        for c in self.cells:
-            lines.append(",".join([
-                c.design,
-                repr(float(c.true_snr_db)),
-                str(c.b),
-                c.metric,
-                "" if c.level is None else repr(float(c.level)),
-                "" if c.mean is None else repr(float(c.mean)),
-                "" if c.se is None else repr(float(c.se)),
-                str(c.replicas),
-                str(c.failures),
-            ]))
-        return "\n".join(lines) + "\n"
+        return dump_csv(
+            ("design", "snr_db", "b", "metric", "level", "mean", "se", "replicas", "failures"),
+            ((c.design, float(c.true_snr_db), c.b, c.metric, c.level, c.mean, c.se, c.replicas,
+              c.failures) for c in self.cells))
 
 
 def _replica_series(spec: ExperimentSpec, r: int) -> TimeSeries:

@@ -13,7 +13,10 @@ import pytest
 
 from snrsub import cli
 from snrsub.cli import InputDescriptor, main, read_input, write_raw_f64le, write_wav16
+from snrsub.core import empirical_quantile
 from snrsub.harness import dump_json
+from snrsub.smoother import select_bandwidth
+from snrsub.subsample import cut_block
 
 from conftest import traced_peak
 
@@ -22,6 +25,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(text):
+    """The cells of a CSV text, one list per line, header first."""
+    assert text.endswith("\n")
+    return [line.split(",") for line in text.splitlines()]
+
+
+def cell(value):
+    """The table cell of a value: a float as its repr, None (JSON null) empty."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+# the columns of an mc cell table; the header names true_snr_db "snr_db"
+MC_COLUMNS = ("design", "true_snr_db", "b", "metric", "level", "mean", "se", "replicas",
+              "failures")
+
+
+def assert_mc_csv_is_the_cells(csv_text, reports):
+    """The mc --csv table holds every cell of ``reports``, reports in name order."""
+    rows = csv_rows(csv_text)
+    assert rows[0] == ["design", "snr_db", *MC_COLUMNS[2:]]
+    assert rows[1:] == [[cell(c[col]) for col in MC_COLUMNS]
+                        for name in sorted(reports) for c in reports[name]["cells"]]
 
 
 def make_raw(tmp_path, samples, name="data.raw"):
@@ -357,10 +384,15 @@ class TestEstimate:
             "--block-ms", "10", "--k", "16", "--snr-csv", csv_path,
         )
         assert code == 0
+        results = json.loads(stdout)["results"]
         lines = open(csv_path).read().splitlines()
         assert lines[0] == "snr_db"
         vals = [float(v) for v in lines[1:]]
-        assert vals == sorted(vals) and len(vals) == 16
+        assert lines[1:] == [repr(v) for v in vals]
+        assert vals == sorted(vals) and len(vals) == results["retained"] == 16
+        # the JSON quantiles are order statistics of the table
+        quantiles = results["quantiles_db"]
+        assert {g: empirical_quantile(vals, float(g)) for g in quantiles} == quantiles
 
     def test_conflicting_block_flags(self, tmp_path, capsys):
         path, _ = simulate_ar(tmp_path, capsys)
@@ -455,9 +487,10 @@ class TestSelectBlock:
         table = report["results"]["table"]
         assert chosen in [row["b"] for row in table][1:-1]
         assert 2.0 <= report["results"]["chosen_b_ms"] <= 20.0
-        lines = open(tmp_path / "vol.csv").read().splitlines()
-        assert lines[0] == "b,b_ms,q_low,q_high,volatility"
-        assert len(lines) == len(table) + 1
+        rows = csv_rows(open(tmp_path / "vol.csv").read())
+        header = ["b", "b_ms", "q_low", "q_high", "volatility"]
+        assert rows == [header] + [[cell(row[col]) for col in header] for row in table]
+        assert table[0]["volatility"] is None and rows[1][-1] == ""  # the endpoints have none
 
     def test_eeg_style_grid_in_seconds(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -513,9 +546,7 @@ class TestMc:
         assert sorted({c["b"] for c in mse_cells}) == [441, 662]
         qmae_cells = payload["reports"]["qmae"]["cells"]
         assert {c["metric"] for c in qmae_cells} == {"quantile_mae"}
-        body = open(csv_path).read().splitlines()
-        assert body[0].startswith("design,")
-        assert len(body) == 1 + len(mse_cells) + len(qmae_cells)
+        assert_mc_csv_is_the_cells(open(csv_path).read(), payload["reports"])
 
     @pytest.mark.parametrize("design", ["ar", "p2"])
     def test_both_equals_the_single_metric_reports(self, tmp_path, capsys, design):
@@ -587,14 +618,29 @@ class TestMc:
         assert code == 0
         assert list(json.loads(stdout)["reports"]) == ["mse"]
 
-    def test_single_replica_se_absent(self, capsys):
+    def test_single_replica_se_absent(self, tmp_path, capsys):
+        csv_path = tmp_path / "mc.csv"
         code, stdout, _ = run_cli(
-            capsys, "mc", "--design", "ar", "--snr", "10", "--metric", "mse",
+            capsys, "mc", "--design", "ar", "--snr", "10", "--metric", "both",
             "--replicas", "1", "--duration", "0.2", "--k", "24", "--b-ms", "10",
+            "--oracle-replicas", "200", "--csv", str(csv_path),
         )
         assert code == 0
-        cells = json.loads(stdout)["reports"]["mse"]["cells"]
-        assert cells[0]["se"] is None
+        reports = json.loads(stdout)["reports"]
+        assert {c["se"] for name in reports for c in reports[name]["cells"]} == {None}
+        assert_mc_csv_is_the_cells(csv_path.read_text(), reports)
+
+    def test_rate_below_nyquist_fails_before_any_oracle(self, capsys, monkeypatch):
+        # at 80 Hz both oracles used to run before the first replica failed
+        def no_oracle(*args):
+            raise AssertionError("oracle draws started")
+        monkeypatch.setattr("snrsub.harness.oracle_draws", no_oracle)
+        code, stdout, err = run_cli(capsys, "mc", "--design", "ar", "--snr", "6", "--fs", "80",
+                                    "--b-ms", "300,400", "--duration", "60", "--k", "20",
+                                    "--replicas", "2")
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "nyquist", "message": "50 Hz signal violates Nyquist at rate 80.0 Hz"}
 
 
 class TestBandwidthCmd:
@@ -617,6 +663,9 @@ class TestBandwidthCmd:
         finite = [c for c in cvs if np.isfinite(c)]
         assert cvs[chosen] == min(finite)
         assert hs == sorted(hs)
+        fit = select_bandwidth(cut_block(read_input(InputDescriptor(path, "raw_f64le", 44100.0)),
+                                         500, 441))
+        assert rows == [[cell(h), cell(cv), str(int(h == fit.h_hat))] for h, cv in fit.cv_curve]
 
     def test_selection_does_not_depend_on_amplitude(self, tmp_path, capsys):
         # 1e160 used to overflow the CV and exit invalid-config
@@ -722,6 +771,10 @@ ERROR_TABLE = {
         ["mc", "--design", "ar", "--snr", "6", "--duration", "0.05", "--k", "5000", "--b-ms", "10",
          "--metric", "qmae"],
         "k-too-large", "k=5000 exceeds the 1765 admissible block starts"),
+    "mc-nyquist": (
+        ["mc", "--design", "ar", "--snr", "6", "--fs", "80", "--b-ms", "300,400",
+         "--duration", "60", "--k", "20", "--replicas", "2"],
+        "nyquist", "50 Hz signal violates Nyquist at rate 80.0 Hz"),
     "mc-block-too-long": (
         ["mc", "--design", "ar", "--snr", "6", "--duration", "0.01", "--b-ms", "15"],
         "invalid-config", "block length 662 exceeds series length 441"),
@@ -751,6 +804,10 @@ ERROR_TABLE = {
     "estimate-non-finite-raw": (
         ["estimate", "--input", "{nan}", "--fs", "44100", "--block-samples", "441"],
         "bad-input", "samples contain non-finite values"),
+    "estimate-raw-channel": (
+        ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441", "--k", "20",
+         "--channel", "7"],
+        "invalid-config", "--channel applies to wav16 input only, got 7 for raw_f64le"),
     "estimate-partial-raw-sample": (
         ["estimate", "--input", "{wav}", "--format", "raw", "--fs", "44100",
          "--block-samples", "441"],

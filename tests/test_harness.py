@@ -8,6 +8,8 @@ import pytest
 from snrsub.core import TimeSeries, empirical_quantile
 from snrsub.harness import (
     ExperimentSpec,
+    dump_csv,
+    dump_json,
     exhaustive_subsample_check,
     ks_distance,
     mc_reports,
@@ -64,6 +66,22 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="k_blocks must be >= 1, got 0"):
             tiny_spec(k_blocks=0)
         assert tiny_spec(block_lengths=(11025,), k_blocks=1).block_lengths == (11025,)
+
+    def test_rate_below_nyquist_rejected(self):
+        # 80 Hz cannot carry the 50 Hz sine; 60 s gives 4800 samples, so the
+        # block lengths of 24 and 32 samples would fit
+        with pytest.raises(ValueError, match="frequency 50.0 Hz violates Nyquist at rate 80 Hz"):
+            tiny_spec(fs_hz=80, duration_s=60, block_lengths=(24, 32), k_blocks=20)
+
+
+class TestDump:
+    def test_csv_cells(self):
+        text = dump_csv(("a", "b", "c"), [(1.0, None, 441), (np.float64(0.1), 2, "ar")])
+        assert text == "a,b,c\n1.0,,441\n0.1,2,ar\n"
+        assert dump_csv(("a",), []) == "a\n"
+
+    def test_json_carries_the_schema_version(self):
+        assert dump_json({"b": [1.5, None], "a": 1}) == '{"a":1,"b":[1.5,null],"schema_version":1}\n'
 
 
 class TestOracleQuantiles:

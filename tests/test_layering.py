@@ -107,6 +107,18 @@ def test_cli_import_leaves_process_pools_unloaded():
     assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
 
 
+def test_package_import_loads_no_command_line_pool_or_draw_machinery():
+    # ``import snrsub`` is the start-up cost of every process that uses the
+    # package; what only the CLI, a worker pool or a random draw or FFT needs
+    # is imported where it is used
+    unloaded = ("argparse", "csv", "wave", "concurrent.futures", "multiprocessing",
+                "numpy.random", "numpy.fft")
+    code = f"import sys, snrsub; print(sorted(set({unloaded!r}) & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_estimate_leaves_numpy_ma_unloaded(tmp_path):
     # np.median loads numpy.ma through its NaN check; estimate takes its
     # median from the sorted bandwidths instead
