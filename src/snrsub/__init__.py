@@ -33,6 +33,7 @@ from .harness import (
 from .simgen import (
     DESIGNS,
     NoiseSpec,
+    NyquistError,
     SignalSpec,
     calibrate_amplitude,
     derive_rng,

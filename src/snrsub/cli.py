@@ -27,6 +27,7 @@ from .simgen import (
     DESIGNS,
     SIGNAL_FREQ_HZ,
     NoiseSpec,
+    NyquistError,
     SignalSpec,
     calibrate_amplitude,
     derive_rng,
@@ -83,14 +84,18 @@ def read_input(desc: InputDescriptor) -> TimeSeries:
     used unless overridden; CSV and raw files require an explicit rate.
     WAV and CSV are loaded whole; a raw file is memory-mapped and read only
     in chunks and blocks (see ``TimeSeries``), so it must not change while
-    the series is in use.
+    the series is in use.  ``desc.channel`` must be one the file has: a WAV
+    file has the channels its header declares, a CSV or raw file one.
     """
     if desc.format not in _READERS:
         raise ValueError(f"unknown input format {desc.format!r}")
-    return _READERS[desc.format](desc)
+    channels, series = _READERS[desc.format](desc)
+    if not 0 <= desc.channel < channels:
+        raise ValueError(f"{desc.path} has {channels} channel(s), no channel {desc.channel}")
+    return series(desc.channel)
 
 
-def _read_wav16(desc: InputDescriptor) -> TimeSeries:
+def _read_wav16(desc: InputDescriptor):
     try:
         with wave.open(desc.path, "rb") as wf:
             if wf.getcomptype() != "NONE":
@@ -114,13 +119,11 @@ def _read_wav16(desc: InputDescriptor) -> TimeSeries:
     if data.size == 0:
         raise ValueError(f"wav: zero samples in {desc.path}")
     data = data.reshape(-1, nch)
-    if not (0 <= desc.channel < nch):
-        raise ValueError(f"wav: channel {desc.channel} out of range for {nch} channels")
-    samples = data[:, desc.channel].astype(np.float64) / PCM16_FULL_SCALE
-    return TimeSeries(samples, fs if desc.sample_rate_hz is None else desc.sample_rate_hz)
+    rate = fs if desc.sample_rate_hz is None else desc.sample_rate_hz
+    return nch, lambda c: TimeSeries(data[:, c].astype(np.float64) / PCM16_FULL_SCALE, rate)
 
 
-def _read_csv(desc: InputDescriptor) -> TimeSeries:
+def _read_csv(desc: InputDescriptor):
     if desc.sample_rate_hz is None:
         raise ValueError("csv input requires an explicit sample rate (--fs)")
     values = []
@@ -140,10 +143,10 @@ def _read_csv(desc: InputDescriptor) -> TimeSeries:
             values.append(v)
     if not values:
         raise ValueError(f"csv: zero samples in {desc.path}")
-    return TimeSeries(np.array(values), desc.sample_rate_hz)
+    return 1, lambda _: TimeSeries(np.array(values), desc.sample_rate_hz)
 
 
-def _read_raw(desc: InputDescriptor) -> TimeSeries:
+def _read_raw(desc: InputDescriptor):
     if desc.sample_rate_hz is None:
         raise ValueError("raw input requires an explicit sample rate (--fs)")
     size = os.path.getsize(desc.path)
@@ -151,10 +154,11 @@ def _read_raw(desc: InputDescriptor) -> TimeSeries:
         raise ValueError(f"raw: {size} bytes in {desc.path} is not a whole number of float64 samples")
     if size == 0:  # checked here: np.memmap refuses an empty file
         raise ValueError(f"raw: zero samples in {desc.path}")
-    return TimeSeries(np.memmap(desc.path, dtype="<f8", mode="r"), desc.sample_rate_hz)
+    return 1, lambda _: TimeSeries(np.memmap(desc.path, dtype="<f8", mode="r"), desc.sample_rate_hz)
 
 
-# the input formats, each with its reader, in the order --help lists them
+# the input formats, in the order --help lists them, each with its reader: it checks
+# the file and returns (channels, series), series(c) the TimeSeries of channel c
 _READERS = {"wav16": _read_wav16, "csv": _read_csv, "raw_f64le": _read_raw}
 
 
@@ -262,20 +266,12 @@ def _block_fits(n: int, b: int, k: int) -> bool:
     return True
 
 
-def _check_nyquist(fs: float) -> None:
-    if not SIGNAL_FREQ_HZ < fs / 2:
-        raise CliError("nyquist", f"{SIGNAL_FREQ_HZ:g} Hz signal violates Nyquist at rate {fs} Hz")
-
-
 def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
     fmt = args.format
     if fmt is None:
         ext = os.path.splitext(args.input)[1].lower()
         fmt = {"wav": "wav16", "csv": "csv"}.get(ext.lstrip("."), "raw")
     desc = InputDescriptor(args.input, "raw_f64le" if fmt == "raw" else fmt, args.fs, args.channel)
-    if desc.channel and desc.format != "wav16":
-        raise CliError("invalid-config",
-                       f"--channel applies to wav16 input only, got {desc.channel} for {desc.format}")
     try:
         return read_input(desc), desc
     except ValueError as e:
@@ -286,8 +282,6 @@ def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
 
 def cmd_simulate(args) -> int:
     fs = args.fs
-    if args.design != "noise-only":
-        _check_nyquist(fs)
     if not math.isfinite(args.amplitude):  # the manifest echoes it for every design
         raise CliError("invalid-config", f"--amplitude must be finite, got {args.amplitude:g}")
     seed = args.seed
@@ -463,7 +457,6 @@ def cmd_select_block(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    _check_nyquist(args.fs)
     threads = _threads(args)
     replicas = args.replicas
     duration = args.duration
@@ -622,9 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the code of each exception that reaches main, in README's order; the first
-# match wins, so KTooLargeError comes before ValueError, its base class
+# match wins, so KTooLargeError and NyquistError come before ValueError, their base class
 _ERROR_CODES = {KTooLargeError: "k-too-large", ExcessiveSkipsError: "excessive-skips",
-                OSError: "io-error", ValueError: "invalid-config"}
+                NyquistError: "nyquist", OSError: "io-error", ValueError: "invalid-config"}
 
 
 def main(argv=None) -> int:

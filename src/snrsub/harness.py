@@ -112,6 +112,7 @@ class ExperimentSpec:
         if any(not (0.0 < g < 1.0) for g in lv) or any(a >= b for a, b in zip(lv, lv[1:])):
             raise ValueError(f"levels must be strictly increasing in (0, 1), got {lv}")
         object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "true_snr_db", float(self.true_snr_db))
         bs = tuple(int(b) for b in self.block_lengths)
         if len(set(bs)) < len(bs):
             raise ValueError(f"block lengths must be distinct, got {bs}")
@@ -165,7 +166,7 @@ class McReport:
     def to_csv(self) -> str:
         return dump_csv(
             ("design", "snr_db", "b", "metric", "level", "mean", "se", "replicas", "failures"),
-            ((c.design, float(c.true_snr_db), c.b, c.metric, c.level, c.mean, c.se, c.replicas,
+            ((c.design, c.true_snr_db, c.b, c.metric, c.level, c.mean, c.se, c.replicas,
               c.failures) for c in self.cells))
 
 

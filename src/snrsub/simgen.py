@@ -16,6 +16,7 @@ import numpy as np
 from .core import TimeSeries
 
 __all__ = [
+    "NyquistError",
     "SignalSpec",
     "NoiseSpec",
     "sample_count",
@@ -60,6 +61,10 @@ def sample_count(duration_s: float, rate_hz: float) -> int:
     return int(round(nf))
 
 
+class NyquistError(ValueError):
+    """A sine frequency at or above half the sampling rate."""
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Deterministic sinusoid: amplitude, frequency, rate, and duration."""
@@ -70,10 +75,11 @@ class SignalSpec:
     duration_s: float
 
     def __post_init__(self):
-        if not (0 < self.frequency_hz < self.sample_rate_hz / 2):
-            raise ValueError(
-                f"frequency {self.frequency_hz} Hz violates Nyquist at rate {self.sample_rate_hz} Hz"
-            )
+        if not self.frequency_hz > 0:
+            raise ValueError(f"frequency must be positive, got {self.frequency_hz} Hz")
+        if not self.frequency_hz < self.sample_rate_hz / 2:
+            raise NyquistError(f"{self.frequency_hz:g} Hz signal violates Nyquist "
+                               f"at rate {self.sample_rate_hz} Hz")
         sample_count(self.duration_s, self.sample_rate_hz)
 
     @property

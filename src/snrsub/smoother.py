@@ -102,18 +102,30 @@ class KernelFit:
     m_lags: int
 
 
+def _holds_neighbor(n: int, h: float) -> bool:
+    """Whether the window at (n, h) holds a neighbor; else the fit is the identity."""
+    return int(n * h) >= 1
+
+
+def _kernel_stencil(n: int, h: float) -> tuple[np.ndarray, int]:
+    """(w, r): read-only K(j/(nh)) at the offsets j = -r..r, r = floor(nh).  On the
+    uniform design a weight depends only on the offset, so one stencil serves every point."""
+    radius = int(math.floor(n * h))
+    w = epanechnikov(np.arange(-radius, radius + 1) / (n * h))
+    w.flags.writeable = False
+    return w, radius
+
+
+def _lag_weights(w: np.ndarray, radius: int, M: int) -> np.ndarray:
+    """K(j/(nh)) for j = 1..min(M, radius), a view of ``w``: K is 0 past the radius."""
+    return w[radius + 1:radius + 1 + min(M, radius)]
+
+
 @lru_cache(maxsize=512)
 def _stencil(n: int, h: float):
-    """Kernel weights on grid offsets and boundary weight sums for (n, h).
-
-    On the uniform design the weight of sample i at evaluation point j/n
-    depends only on the offset j - i, so one stencil serves every point.
-    """
-    radius = int(math.floor(n * h))
-    offs = np.arange(-radius, radius + 1)
-    w = epanechnikov(offs / (n * h))
+    """``_kernel_stencil`` and its boundary weight sums: (w, den, radius)."""
+    w, radius = _kernel_stencil(n, h)
     den = np.convolve(np.ones(n), w, mode="full")[radius:radius + n]
-    w.flags.writeable = False
     den.flags.writeable = False
     return w, den, radius
 
@@ -154,35 +166,30 @@ def autocovariance(residuals, j: int) -> float:
     return float(e[:n - j] @ e[j:]) / n
 
 
-def _correction_factor(padded: np.ndarray, centre: float, lag_weights: np.ndarray,
-                       nh: float) -> float:
+def _correction_factor(padded: np.ndarray, lag_weights: np.ndarray, nh: float) -> float:
     """1 - (1/(nh)) * sum_{|j|<=m} K(j/(nh)) * rho_hat(j) from residuals e.
 
-    ``padded`` is e followed by m = ``lag_weights.size`` zeros, ``centre`` is
-    K(0) and ``lag_weights`` holds K(j/(nh)) for j = 1..m; the
-    autocovariances of lags 0..m are direct lag products of e.
+    ``padded`` is e followed by m zeros and ``lag_weights`` holds K(j/(nh)) for
+    j = 1..m; the autocovariances of lags 0..m are direct lag products of e.
     """
     g = np.correlate(padded, padded[:padded.size - lag_weights.size], "valid")  # sum_t e_t e_{t+j}
     rho = g[1:]
     rho /= g[0]
-    return 1.0 - (centre + 2.0 * float(lag_weights.dot(rho))) / nh
+    return 1.0 - (_K0 + 2.0 * float(lag_weights.dot(rho))) / nh
 
 
 def _cv_eval(y: np.ndarray, h: float, M: int):
     """CV value plus the fit it was computed from: (cv, fitted, residuals)."""
-    if int(y.size * h) < 1:
-        # window holds no neighbor: the fit degenerates to the identity
+    if not _holds_neighbor(y.size, h):
         return math.inf, None, None
     fitted = priestley_chao_fit(y, h)
     e = y - fitted
     mse = float(e @ e) / y.size
     if mse == 0.0:
         return 0.0, fitted, e
-    # K vanishes past the stencil radius floor(nh), so lags stop at min(M, radius)
     w, _, radius = _stencil(y.size, float(h))
-    lags = w[radius + 1:radius + 1 + min(M, radius)]
-    factor = _correction_factor(np.concatenate([e, np.zeros(lags.size)]), float(w[radius]), lags,
-                                y.size * h)
+    lags = _lag_weights(w, radius, M)
+    factor = _correction_factor(np.concatenate([e, np.zeros(lags.size)]), lags, y.size * h)
     if factor < CORRECTION_FLOOR:
         return math.inf, fitted, e
     return mse / (factor * factor), fitted, e
@@ -209,6 +216,7 @@ def _lag_cutoff(n: int, h: float) -> int:
     return min(max(1, int(math.floor(math.sqrt(n * h)))), n // 4)
 
 
+_K0 = epanechnikov(0.0)  # K(0), the centre weight of every stencil and correction factor
 # FFT CV values within this share of (min CV + mean(y**2)) of the minimum, and
 # correction factors within CV_GUARD_BAND of CORRECTION_FLOOR, are decided by
 # the direct fit, so rounding in the FFT arithmetic cannot move the argmin
@@ -246,17 +254,14 @@ class _CvPlan:
     holds the real rfft of each kernel stencil placed circularly at offset 0
     in ``length`` samples, ``length`` >= n + the largest radius, so the
     circular convolution equals the linear one on the n fitted points;
-    ``den`` the boundary weight sums; ``centre`` is K(0) and ``lag_weights``
-    K(j/(nh)) for j = 1..min(M, radius), the weights of the correction
-    factor's lag sum.
+    ``den`` the boundary weight sums (cumulative, not ``_stencil``'s, which
+    round apart); ``lag_weights`` views of each row's ``_kernel_stencil``.
     """
 
     hs: tuple[float, ...]
     index: np.ndarray
-    nh: tuple[float, ...]
     spectra: np.ndarray
     den: np.ndarray
-    centre: tuple[float, ...]
     lag_weights: tuple[np.ndarray, ...]
     length: int
 
@@ -264,26 +269,22 @@ class _CvPlan:
 @lru_cache(maxsize=1)
 def _cv_plan(n: int, grid: BandwidthGrid, regime: DependenceRegime | None) -> _CvPlan:
     hs = tuple(grid.values(n, regime).tolist())
-    index = [i for i, h in enumerate(hs) if int(n * h) >= 1]
-    radii = [int(math.floor(n * hs[i])) for i in index]
-    length = _smooth_length(n + max(radii, default=0))
+    index = [i for i, h in enumerate(hs) if _holds_neighbor(n, h)]
+    stencils = [_kernel_stencil(n, hs[i]) for i in index]
+    length = _smooth_length(n + max((r for _, r in stencils), default=0))
     spectra = np.empty((len(index), length // 2 + 1))
     den = np.empty((len(index), n))
-    centre, lag_weights = [], []
     kern = np.zeros(length)
     pos = np.arange(n)
-    for k, (i, r) in enumerate(zip(index, radii)):
-        w = epanechnikov(np.arange(-r, r + 1) / (n * hs[i]))
+    for k, (w, r) in enumerate(stencils):
         kern[:] = 0.0
         kern[:r + 1] = w[r:]
         kern[length - r:] = w[:r]
         spectra[k] = np.fft.rfft(kern).real  # w is symmetric, so its spectrum is real
         csum = np.concatenate(([0.0], np.cumsum(w)))
         den[k] = csum[np.minimum(2 * r, r + pos) + 1] - csum[np.maximum(0, r + pos - n + 1)]
-        centre.append(float(w[r]))
-        lag_weights.append(w[r + 1:r + 1 + min(_lag_cutoff(n, hs[i]), r)].copy())
-    return _CvPlan(hs, np.array(index, dtype=np.int64), tuple(n * hs[i] for i in index), spectra,
-                   den, tuple(centre), tuple(lag_weights), length)
+    lags = tuple(_lag_weights(w, r, _lag_cutoff(n, hs[i])) for i, (w, r) in zip(index, stencils))
+    return _CvPlan(hs, np.array(index, dtype=np.int64), spectra, den, lags, length)
 
 
 def _fft_cv(y: np.ndarray, plan: _CvPlan):
@@ -295,6 +296,7 @@ def _fft_cv(y: np.ndarray, plan: _CvPlan):
     residuals, by the rule the direct fit uses.
     """
     n, rows = y.size, plan.index.size
+    nh = [n * plan.hs[i] for i in plan.index.tolist()]
     mse, factor = np.empty(rows), np.zeros(rows)
     spec_y = np.fft.rfft(y, plan.length)
     batch = max(1, CHUNK_SAMPLES // plan.length)
@@ -307,12 +309,9 @@ def _fft_cv(y: np.ndarray, plan: _CvPlan):
         padded[:, n:] = 0.0
         energy = np.einsum("ij,ij->i", e, e)
         mse[sl] = energy / n
-        flat = padded.reshape(-1)  # row k starts at (k - lo) * length
-        for k, en in enumerate(energy.tolist(), lo):
+        for k, (en, lags) in enumerate(zip(energy.tolist(), plan.lag_weights[sl]), lo):
             if en > 0.0:  # else the factor is undefined; CV_RESIDUAL_FLOOR sends the row direct
-                lags, start = plan.lag_weights[k], (k - lo) * plan.length
-                factor[k] = _correction_factor(flat[start:start + n + lags.size], plan.centre[k],
-                                               lags, plan.nh[k])
+                factor[k] = _correction_factor(padded[k - lo, :n + lags.size], lags, nh[k])
     cv = np.full(rows, math.inf)
     valid = factor >= CORRECTION_FLOOR
     cv[valid] = mse[valid] / (factor[valid] * factor[valid])

@@ -90,8 +90,20 @@ class TestReadInput:
         right = read_input(InputDescriptor(str(path), "wav16", channel=1))
         np.testing.assert_allclose(left.samples * 32768, [100, 200, 300])
         np.testing.assert_allclose(right.samples * 32768, [-100, -200, -300])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has 2 channel\\(s\\), no channel 2"):
             read_input(InputDescriptor(str(path), "wav16", channel=2))
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw_f64le"])
+    def test_single_channel_formats_have_channel_zero_only(self, tmp_path, fmt):
+        path = tmp_path / "x"
+        if fmt == "csv":
+            path.write_text("1.5\n2.5\n")
+        else:
+            np.array([1.5, 2.5]).tofile(path)
+        assert read_input(InputDescriptor(str(path), fmt, 8000.0)).samples.tolist() == [1.5, 2.5]
+        for channel in (1, -1):
+            with pytest.raises(ValueError, match=f"has 1 channel\\(s\\), no channel {channel}"):
+                read_input(InputDescriptor(str(path), fmt, 8000.0, channel))
 
     def test_wav_rejects_non_16bit(self, tmp_path):
         path = tmp_path / "b.wav"
@@ -807,7 +819,13 @@ ERROR_TABLE = {
     "estimate-raw-channel": (
         ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441", "--k", "20",
          "--channel", "7"],
-        "invalid-config", "--channel applies to wav16 input only, got 7 for raw_f64le"),
+        "bad-input", "{raw} has 1 channel(s), no channel 7"),
+    "estimate-wav-channel-past-the-last": (
+        ["estimate", "--input", "{wav}", "--block-samples", "441", "--k", "20", "--channel", "3"],
+        "bad-input", "{wav} has 1 channel(s), no channel 3"),
+    "estimate-wav-channel-negative": (
+        ["estimate", "--input", "{wav}", "--block-samples", "441", "--k", "20", "--channel", "-1"],
+        "bad-input", "{wav} has 1 channel(s), no channel -1"),
     "estimate-partial-raw-sample": (
         ["estimate", "--input", "{wav}", "--format", "raw", "--fs", "44100",
          "--block-samples", "441"],

@@ -18,7 +18,7 @@ from snrsub.harness import (
     oracle_quantiles,
     quantile_mae,
 )
-from snrsub.simgen import AR1_BURN_IN, calibrate_amplitude, derive_rng, design_noise, gen_design
+from snrsub.simgen import AR1_BURN_IN, NyquistError, calibrate_amplitude, derive_rng, design_noise, gen_design
 from snrsub.subsample import ExcessiveSkipsError, KTooLargeError, default_b1
 
 from conftest import traced_peak
@@ -70,7 +70,7 @@ class TestExperimentSpec:
     def test_rate_below_nyquist_rejected(self):
         # 80 Hz cannot carry the 50 Hz sine; 60 s gives 4800 samples, so the
         # block lengths of 24 and 32 samples would fit
-        with pytest.raises(ValueError, match="frequency 50.0 Hz violates Nyquist at rate 80 Hz"):
+        with pytest.raises(NyquistError, match="^50 Hz signal violates Nyquist at rate 80 Hz$"):
             tiny_spec(fs_hz=80, duration_s=60, block_lengths=(24, 32), k_blocks=20)
 
 
@@ -312,6 +312,14 @@ class TestMseReport:
         csv_text = rep.to_csv()
         assert csv_text.splitlines()[0] == "design,snr_db,b,metric,level,mean,se,replicas,failures"
         assert len(csv_text.splitlines()) == 2
+
+    def test_int_snr_reads_the_same_in_both_formats(self):
+        # the spec coerces the SNR to float, as it does the levels
+        rep = mse_signal_power(tiny_spec(true_snr_db=6, replicas=2))
+        payload = json.loads(rep.to_json())
+        snrs = [payload["spec"]["true_snr_db"], payload["cells"][0]["true_snr_db"]]
+        assert [repr(v) for v in snrs] == ["6.0", "6.0"]
+        assert rep.to_csv().splitlines()[1].split(",")[1] == "6.0"
 
 
 class TestQuantileMae:

@@ -183,3 +183,21 @@ def test_no_module_reads_the_numpy_version():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[-1] in ("__version__", "NumpyVersion")]
     assert found == []
+
+
+def test_one_kernel_stencil_rule():
+    # the direct fits and the FFT CV plan take their stencils from one rule,
+    # and K(0) is one constant, so the two engines cannot drift apart
+    found = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            # a def or class by its name, a module-level assignment by its target
+            owner = (ast.unparse(top.targets[0]) if isinstance(top, ast.Assign)
+                     else getattr(top, "name", ""))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "epanechnikov":
+                        found.add(f"{path.stem}.{owner}")
+    assert found == {"smoother._kernel_stencil", "smoother._K0"}

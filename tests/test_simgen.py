@@ -11,6 +11,7 @@ from snrsub.simgen import (
     DESIGNS,
     SIGNAL_FREQ_HZ,
     NoiseSpec,
+    NyquistError,
     SignalSpec,
     calibrate_amplitude,
     derive_rng,
@@ -75,8 +76,12 @@ class TestGenSine:
         assert ts.samples[0] == 0.0
 
     def test_nyquist_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NyquistError, match="^600 Hz signal violates Nyquist at rate 1000.0 Hz$"):
             SignalSpec(1.0, 600.0, 1000.0, 1.0)
+        for f in (0.0, -50.0):  # a bad frequency, not a Nyquist violation
+            with pytest.raises(ValueError, match="frequency must be positive") as info:
+                SignalSpec(1.0, f, 1000.0, 1.0)
+            assert not isinstance(info.value, NyquistError)
 
     def test_integer_sample_count(self):
         with pytest.raises(ValueError):

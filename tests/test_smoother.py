@@ -426,10 +426,26 @@ class TestBatchedCv:
             at_radius += lags.size == radius
             fit = np.fft.irfft(plan.spectra[k] * spec_y, plan.length)[:n] / plan.den[k]
             e = np.concatenate([y - fit, np.zeros(lags.size)])
-            assert factor[k] == smoother._correction_factor(e, plan.centre[k], lags, plan.nh[k])
+            assert factor[k] == smoother._correction_factor(e, lags, n * h)
         if n <= 64:  # short blocks have candidates whose lags reach the stencil radius
             assert at_radius > 0
         assert "lag_spectra" not in {f.name for f in dataclasses.fields(smoother._CvPlan)}
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 441, 4410])
+    def test_plan_takes_its_lag_weights_from_the_stencil_rule(self, n):
+        # both engines build their stencils by one rule, and K(0) is one constant
+        plan = smoother._cv_plan(n, BandwidthGrid(), None)
+        assert plan.index.size > 0
+        for k, i in enumerate(plan.index.tolist()):
+            h = plan.hs[i]
+            w, _, radius = smoother._stencil(n, h)
+            lags = plan.lag_weights[k]
+            expected = w[radius + 1:radius + 1 + min(smoother._lag_cutoff(n, h), radius)]
+            assert (lags.dtype, lags.shape) == (expected.dtype, expected.shape)
+            assert lags.tobytes() == expected.tobytes()
+            assert not lags.flags.owndata  # a view of the row's stencil, not a copy
+        assert "centre" not in {f.name for f in dataclasses.fields(smoother._CvPlan)}
+        assert smoother._K0 == w[radius] == 0.75
 
     @pytest.mark.parametrize("n", [16, 64, 441, 4410])
     def test_direct_factor_keeps_its_arithmetic(self, n):
