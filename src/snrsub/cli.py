@@ -30,7 +30,6 @@ from .simgen import (
     NyquistError,
     SignalSpec,
     calibrate_amplitude,
-    derive_rng,
     design_noise,
     gen_design,
     gen_sine,
@@ -38,6 +37,7 @@ from .simgen import (
 )
 from .smoother import MIN_BLOCK_SAMPLES, select_bandwidth
 from .subsample import (
+    MIN_CANDIDATES,
     ExcessiveSkipsError,
     KTooLargeError,
     SubsampleConfig,
@@ -321,7 +321,7 @@ def cmd_simulate(args) -> int:
         noise = (NoiseSpec.white(noise_var) if args.noise == "white"
                  else design_noise(args.noise, noise_var))
         n = sample_count(args.duration, fs)
-        series = TimeSeries(noise.sample(n, derive_rng(seed)), fs)
+        series = TimeSeries(noise.sample(n, seed), fs)
         derived = {"amplitude": 0.0, "signal_power": 0.0,
                    "noise": noise.describe(), "true_snr_db": None}
 
@@ -414,9 +414,9 @@ def cmd_select_block(args) -> int:
     cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
     cand = sorted({_block_samples("--grid-max", float(v), args.grid_unit, fs) for v in raw})
     cand = [b for b in cand if b >= MIN_BLOCK_SAMPLES and _block_fits(series.n, b, args.k)]
-    if len(cand) < 5:
-        raise CliError("grid-infeasible",
-                       f"grid reduces to {len(cand)} feasible candidates; need at least 5")
+    if len(cand) < MIN_CANDIDATES:
+        raise CliError("grid-infeasible", f"grid reduces to {len(cand)} feasible candidates; "
+                       f"need at least {MIN_CANDIDATES}")
     sel = select_block_size(series, cand, cfg)
 
     table = [

@@ -75,6 +75,10 @@ class SignalSpec:
     duration_s: float
 
     def __post_init__(self):
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample rate must be positive and finite, got {self.sample_rate_hz}")
         if not self.frequency_hz > 0:
             raise ValueError(f"frequency must be positive, got {self.frequency_hz} Hz")
         if not self.frequency_hz < self.sample_rate_hz / 2:
@@ -92,9 +96,9 @@ class NoiseSpec:
     """Noise process with a target stationary variance.
 
     ``kind`` is one of 'white', 'ar1' (coefficient ``phi``) or 'powerlaw'
-    (spectral exponent ``beta``).  White and AR(1) accept variance 0 as the
-    noiseless degenerate case; the power-law synthesis rescales to an exact
-    sample variance, so it needs a positive target.
+    (spectral exponent ``beta``).  The variance is finite: 0 is the noiseless
+    case of white and AR(1) noise, but the power-law synthesis rescales to an
+    exact sample variance, so it needs a positive one.  Every draw is a slab.
     """
 
     kind: str
@@ -105,7 +109,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("white", "ar1", "powerlaw"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.variance < 0 or (self.kind == "powerlaw" and self.variance == 0):
+        if not (0 < self.variance < math.inf or self.variance == 0 and self.kind != "powerlaw"):
             raise ValueError(f"invalid variance {self.variance} for {self.kind} noise")
         if self.kind == "ar1" and not abs(self.phi) < 1:
             raise ValueError(f"ar1 coefficient must satisfy |phi| < 1, got {self.phi}")
@@ -278,11 +282,10 @@ def gen_powerlaw(beta: float, target_variance: float, n: int, seed) -> np.ndarra
     imaginary parts as Normal(0, P(f_k)/2) with P proportional to k**(-beta),
     force the Nyquist bin real, zero the DC bin, and invert.  The result is
     recentered and rescaled so the sample variance equals the target exactly,
-    making the realized noise power a constant of the design.
+    making the realized noise power a constant of the design.  It is the
+    one-row slab ``NoiseSpec.powerlaw(beta, target_variance).sample(n, seed)``.
     """
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return next(_powerlaw_slabs(beta, target_variance, 1, n, 1, _as_rng(seed)))[0]
+    return NoiseSpec.powerlaw(beta, target_variance).sample(n, seed)
 
 
 def _normal_into(rng: np.random.Generator, sd: float, out: np.ndarray) -> None:

@@ -57,6 +57,7 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 SKIP_BUDGET = 0.10
 MIN_B1 = 4  # the shortest secondary window, so its variance stays meaningful
+MIN_CANDIDATES = 5  # the fewest block lengths select_block_size takes: 3 interior ones to score
 
 
 class ExcessiveSkipsError(RuntimeError):
@@ -410,8 +411,8 @@ def select_block_size(series: TimeSeries, candidates, cfg_template: SubsampleCon
     b1 rule at every candidate.
     """
     cand = [int(b) for b in candidates]
-    if len(cand) < 5:
-        raise ValueError(f"need at least 5 candidate block lengths, got {len(cand)}")
+    if len(cand) < MIN_CANDIDATES:
+        raise ValueError(f"need at least {MIN_CANDIDATES} candidate block lengths, got {len(cand)}")
     if any(b2 <= b1 for b1, b2 in zip(cand, cand[1:])):
         raise ValueError("candidate block lengths must be strictly increasing")
     admissible_starts(series.n, cand[-1], cfg_template.k_blocks)

@@ -9,6 +9,7 @@ faithfully and reports the measured numbers.  The analysis of criteria 6 and
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -32,12 +33,16 @@ from snrsub.smoother import (
     priestley_chao_fit,
     select_bandwidth,
 )
-from snrsub.subsample import confidence_interval
+from snrsub.subsample import confidence_interval, parallel_imap
 
 from conftest import periodogram_slope
 
 SEED = 20240501
 DESK = dict(fs_hz=44100.0, duration_s=3.0)  # n = 132,300
+# the Monte Carlo criteria run on up to two processes; no result depends on
+# the worker count (test_mapped_series_gives_the_same_bytes,
+# test_worker_pool_changes_no_cell)
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def report(num, name, ok, detail):
@@ -69,7 +74,8 @@ def ar10_experiment():
     spec = ExperimentSpec("ar", 10.0, block_lengths=(441,), k_blocks=200,
                           replicas=100, seed=SEED, **DESK)
     t0 = time.perf_counter()
-    dists = [replica_distribution(spec, 441, r) for r in range(spec.replicas)]
+    dists = list(parallel_imap(replica_distribution,
+                               ((spec, 441, r) for r in range(spec.replicas)), WORKERS))
     elapsed = time.perf_counter() - t0
     return spec, dists, elapsed
 
@@ -194,7 +200,7 @@ def test_criterion_7_mse_ordering():
     }
     mse = {}
     for design, spec in specs.items():
-        cells = mse_signal_power(spec).cells
+        cells = mse_signal_power(spec, workers=WORKERS).cells
         mse[design] = {c.b: c.mean for c in cells}
     ordering_ok = all(
         mse["ar"][b] <= mse["p1"][b] <= mse["p2"][b] for b in (441, 662)

@@ -746,6 +746,14 @@ ERROR_TABLE = {
         ["simulate", "--design", "noise-only", "--noise", "p2", "--fs", "1000",
          "--duration", "0.009", "--out", "{tmp}/x.raw"],
         "invalid-config", "n must be >= 16, got 9"),
+    "noise-only-variance-nan": (
+        ["simulate", "--design", "noise-only", "--noise-variance", "nan", "--duration", "0.1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "invalid variance nan for white noise"),
+    "noise-only-variance-inf": (
+        ["simulate", "--design", "noise-only", "--noise", "ar", "--noise-variance", "inf",
+         "--duration", "0.1", "--out", "{tmp}/x.raw"],
+        "invalid-config", "invalid variance inf for ar1 noise"),
     "noise-only-fractional-length": (
         ["simulate", "--design", "noise-only", "--duration", "0.100001", "--out", "{tmp}/x.raw"],
         "invalid-config", "duration*rate must be a positive integer, got 4410.0441"),

@@ -185,19 +185,31 @@ def test_no_module_reads_the_numpy_version():
     assert found == []
 
 
-def test_one_kernel_stencil_rule():
-    # the direct fits and the FFT CV plan take their stencils from one rule,
-    # and K(0) is one constant, so the two engines cannot drift apart
+def callers(name: str) -> set[str]:
+    """'module.owner' of each top-level statement of the package that calls
+    ``name``: a def or class by its name, a module-level assignment by its target."""
     found = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
-            # a def or class by its name, a module-level assignment by its target
             owner = (ast.unparse(top.targets[0]) if isinstance(top, ast.Assign)
                      else getattr(top, "name", ""))
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    if name == "epanechnikov":
+                    if name == (func.attr if isinstance(func, ast.Attribute)
+                                else getattr(func, "id", "")):
                         found.add(f"{path.stem}.{owner}")
-    assert found == {"smoother._kernel_stencil", "smoother._K0"}
+    return found
+
+
+def test_one_kernel_stencil_rule():
+    # the direct fits and the FFT CV plan take their stencils from one rule,
+    # and K(0) is one constant, so the two engines cannot drift apart
+    assert callers("epanechnikov") == {"smoother._kernel_stencil", "smoother._K0"}
+
+
+def test_one_noise_gate():
+    # every noise draw is a slab of NoiseSpec.slabs, so NoiseSpec's checks
+    # are the one gate in front of each synthesis
+    for synthesis in ("_white_slabs", "_ar1_slabs", "_powerlaw_slabs"):
+        assert callers(synthesis) == {"simgen.NoiseSpec"}, synthesis

@@ -83,6 +83,18 @@ class TestGenSine:
                 SignalSpec(1.0, f, 1000.0, 1.0)
             assert not isinstance(info.value, NyquistError)
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude(self, amp):
+        with pytest.raises(ValueError, match="^amplitude must be finite, got "):
+            SignalSpec(amp, 50.0, 1000.0, 1.0)
+
+    @pytest.mark.parametrize("fs", [-100.0, 0.0, math.nan, math.inf])
+    def test_rate_not_positive_and_finite(self, fs):
+        # a bad rate, not a Nyquist violation
+        with pytest.raises(ValueError, match="^sample rate must be positive and finite") as info:
+            SignalSpec(1.0, 50.0, fs, 1.0)
+        assert not isinstance(info.value, NyquistError)
+
     def test_integer_sample_count(self):
         with pytest.raises(ValueError):
             SignalSpec(1.0, 50.0, 1000.0, 0.0005)
@@ -208,10 +220,15 @@ class TestGenPowerlaw:
         np.testing.assert_array_equal(a, b)
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spectral exponent must lie in \\[0, 1\\], got 1.5$"):
             gen_powerlaw(1.5, 1.0, 64, 0)
         with pytest.raises(ValueError):
             gen_powerlaw(0.5, 1.0, 8, 0)
+
+    @pytest.mark.parametrize("variance", [-1.0, 0.0, math.nan])
+    def test_invalid_variance(self, variance):
+        with pytest.raises(ValueError, match=f"^invalid variance {variance} for powerlaw noise$"):
+            gen_powerlaw(0.6, variance, 64, 1)
 
     # sha256 prefixes of the series the one-draw-at-a-time synthesis wrote,
     # before the synthesis became the one-row case of the row-batched one
@@ -249,6 +266,12 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec.powerlaw(0.2, 0.0)
         assert NoiseSpec.white(0.0).variance == 0.0
+
+    @pytest.mark.parametrize("kind", ["white", "ar1", "powerlaw"])
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variance(self, kind, variance):
+        with pytest.raises(ValueError, match=f"^invalid variance {variance} for {kind} noise$"):
+            NoiseSpec(kind, variance)
 
     def test_innovation_sd(self):
         spec = NoiseSpec.ar1(-0.7, 1.0)
