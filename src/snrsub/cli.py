@@ -282,8 +282,6 @@ def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
 
 def cmd_simulate(args) -> int:
     fs = args.fs
-    if not math.isfinite(args.amplitude):  # the manifest echoes it for every design
-        raise CliError("invalid-config", f"--amplitude must be finite, got {args.amplitude:g}")
     seed = args.seed
     design = args.design
     noise_var = args.noise_variance
@@ -348,13 +346,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    levels = _parse_levels(args.levels, "--levels")
+    ci_levels = _parse_levels(args.ci, "--ci")
+    threads = _threads(args)
     t0 = time.perf_counter()
     series, desc = _load_series(args)
     read_s = time.perf_counter() - t0
     b = _resolve_block_samples(args, series.sample_rate_hz)
-    levels = _parse_levels(args.levels, "--levels")
-    ci_levels = _parse_levels(args.ci, "--ci")
-    threads = _threads(args)
     cfg = SubsampleConfig(b=b, k_blocks=args.k, seed=args.seed, b1=args.b1,
                           workers=threads, shared_bandwidth=args.shared_bandwidth)
 
@@ -389,8 +387,8 @@ def cmd_estimate(args) -> int:
                 "min_h": float(hs[0]),
                 "max_h": float(hs[-1]),
             },
-            "quantiles_db": {f"{g:g}": dist.quantile(g) for g in levels},
-            "ci_db": {f"{lv:g}": list(confidence_interval(dist, lv)) for lv in ci_levels},
+            "quantiles_db": {repr(g): dist.quantile(g) for g in levels},
+            "ci_db": {repr(lv): list(confidence_interval(dist, lv)) for lv in ci_levels},
         },
     }
     if args.timings:  # wall-clock only on request, so the default report is reproducible
@@ -402,17 +400,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_select_block(args) -> int:
-    series, desc = _load_series(args)
-    fs = series.sample_rate_hz
     threads = _threads(args)
-    for flag, v in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
-        _block_samples(flag, v, args.grid_unit, fs)  # before linspace turns a non-finite end to NaN
     if args.grid_steps < 0:
         raise CliError("invalid-config", f"--grid-steps must be non-negative, got {args.grid_steps}")
+    series, desc = _load_series(args)
+    fs = series.sample_rate_hz
     raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     # k is checked before the screen; select_block_size sets b per candidate
     cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
-    cand = sorted({_block_samples("--grid-max", float(v), args.grid_unit, fs) for v in raw})
+    cand = sorted({_block_samples("--grid-min/--grid-max", float(v), args.grid_unit, fs)
+                   for v in raw})
     cand = [b for b in cand if b >= MIN_BLOCK_SAMPLES and _block_fits(series.n, b, args.k)]
     if len(cand) < MIN_CANDIDATES:
         raise CliError("grid-infeasible", f"grid reduces to {len(cand)} feasible candidates; "
@@ -623,10 +620,12 @@ _ERROR_CODES = {KTooLargeError: "k-too-large", ExcessiveSkipsError: "excessive-s
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        fs = args.fs  # every command takes --fs
-        if fs is not None and not (fs > 0 and math.isfinite(fs)):
-            raise CliError("invalid-config",
-                           f"--fs must be {'finite' if fs > 0 else 'positive'}, got {fs:g}")
+        for dest, v in vars(args).items():  # every float flag, before any work
+            if isinstance(v, float) and not math.isfinite(v):
+                raise CliError("invalid-config",
+                               f"--{dest.replace('_', '-')} must be finite, got {v:g}")
+        if args.fs is not None and not args.fs > 0:  # every command takes --fs
+            raise CliError("invalid-config", f"--fs must be positive, got {args.fs:g}")
         return args.func(args)
     except (CliError, *_ERROR_CODES) as e:
         code = e.code if isinstance(e, CliError) else next(

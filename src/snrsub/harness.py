@@ -71,9 +71,9 @@ ORACLE_REPLICAS = 4000  # default oracle draws; like ExperimentSpec's field defa
 
 def dump_json(payload: dict) -> str:
     """Canonical JSON text of ``payload`` with its ``schema_version``: sorted
-    keys, compact separators, one newline."""
+    keys, compact separators, one newline; a NaN or infinity raises ValueError."""
     return json.dumps({"schema_version": SCHEMA_VERSION, **payload},
-                      sort_keys=True, separators=(",", ":")) + "\n"
+                      sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def dump_csv(header, rows) -> str:

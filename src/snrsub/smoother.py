@@ -331,11 +331,11 @@ def select_bandwidth(
 
     Every candidate's CV comes from FFT arithmetic.  The candidates that
     could be the minimum (within the tie band of it, or at the guard) and
-    those whose residual energy is too small for the FFT's rounding are
-    evaluated again with the direct fit, and the first minimum among them
-    wins; a constant block is evaluated directly throughout.  The selected
-    h, its fit and its residuals are therefore those of the direct
-    per-candidate rule.
+    those whose residual energy is too small for the FFT's rounding (every
+    candidate of a constant block) are evaluated again with the direct fit,
+    and the first minimum among them wins; a zero block has no finite FFT
+    value and takes the direct rule.  The selected h, its fit and its
+    residuals are therefore those of the direct per-candidate rule.
 
     It runs on ``pow2_scaled(y)``; the fit, the residuals and the CV values
     are scaled back exactly, so nothing depends on the scale of y (a CV value
@@ -350,11 +350,7 @@ def select_bandwidth(
         grid = BandwidthGrid()
     plan = _cv_plan(n, grid, regime)
     curve = [math.inf] * len(plan.hs)
-    best = None
-    # a constant block's direct CVs are rounding residue that the FFT values
-    # cannot rank, so it goes straight to the direct rule
-    if y.min() < y.max():
-        best = _fft_guided_minimum(y, plan, curve)
+    best = _fft_guided_minimum(y, plan, curve)
     if best is None:
         best = _first_minimum(y, plan.hs, range(len(plan.hs)), curve)
     if best is None:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -308,6 +309,18 @@ class TestEstimate:
         lo, hi = ci["0.9"]
         assert lo <= q["0.5"] <= hi
 
+    def test_quantile_keys_name_their_level_exactly(self, tmp_path, capsys):
+        # six significant digits would give each pair one key, and drop a level
+        path, _ = simulate_ar(tmp_path, capsys)
+        code, stdout, _ = run_cli(
+            capsys, "estimate", "--input", path, "--fs", "44100", "--block-samples", "441",
+            "--k", "16", "--levels", "0.1234561,0.1234562", "--ci", "0.9,0.9000001",
+        )
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert list(results["quantiles_db"]) == ["0.1234561", "0.1234562"]
+        assert list(results["ci_db"]) == ["0.9", "0.9000001"]
+
     def test_wav_of_unknown_size_is_read_whole(self, tmp_path, capsys, recordings):
         # a writer that cannot seek leaves the RIFF and data sizes at 0xFFFFFFFF
         wav = bytearray(Path(recordings["wav"]).read_bytes())
@@ -527,7 +540,7 @@ class TestSelectBlock:
                                         "--fs", "44100", flag, bad)
             assert (code, stdout) == (1, "")
             assert json.loads(err)["error"] == {
-                "code": "invalid-config", "message": f"{flag} gives no finite block length: {bad}"}
+                "code": "invalid-config", "message": f"{flag} must be finite, got {bad}"}
 
     def test_grid_takes_the_estimate_rounding_rule(self):
         # 0.5555555555555556 ms at 44.1 kHz is 24.5 samples as ms * fs / 1000,
@@ -604,7 +617,8 @@ class TestMc:
         error = json.loads(err)["error"]
         assert error["code"] == "invalid-config"
         assert error["message"] == (f"SNR {float(snr)} dB gives no positive finite amplitude, "
-                                    f"got {amplitude}")
+                                    f"got {amplitude}" if math.isfinite(float(snr))
+                                    else f"--snr must be finite, got {snr}")
 
     @pytest.mark.parametrize("design", ["ar", "p2"])
     def test_repeats_in_one_process_equal_two_threads(self, tmp_path, capsys, design):
@@ -749,17 +763,17 @@ ERROR_TABLE = {
     "noise-only-variance-nan": (
         ["simulate", "--design", "noise-only", "--noise-variance", "nan", "--duration", "0.1",
          "--out", "{tmp}/x.raw"],
-        "invalid-config", "invalid variance nan for white noise"),
+        "invalid-config", "--noise-variance must be finite, got nan"),
     "noise-only-variance-inf": (
         ["simulate", "--design", "noise-only", "--noise", "ar", "--noise-variance", "inf",
          "--duration", "0.1", "--out", "{tmp}/x.raw"],
-        "invalid-config", "invalid variance inf for ar1 noise"),
+        "invalid-config", "--noise-variance must be finite, got inf"),
     "noise-only-fractional-length": (
         ["simulate", "--design", "noise-only", "--duration", "0.100001", "--out", "{tmp}/x.raw"],
         "invalid-config", "duration*rate must be a positive integer, got 4410.0441"),
     "simulate-infinite-duration": (
         ["simulate", "--design", "ar", "--duration", "inf", "--out", "{tmp}/x.raw"],
-        "invalid-config", "duration*rate must be a positive integer, got inf"),
+        "invalid-config", "--duration must be finite, got inf"),
     "simulate-unwritable-out": (
         ["simulate", "--design", "ar", "--duration", "0.1", "--out", "{tmp}/nodir/x.raw"],
         "io-error",
@@ -774,7 +788,7 @@ ERROR_TABLE = {
     "noise-only-fs-nan": (
         ["simulate", "--design", "noise-only", "--duration", "0.1", "--fs", "nan",
          "--out", "{tmp}/x.raw"],
-        "invalid-config", "--fs must be positive, got nan"),
+        "invalid-config", "--fs must be finite, got nan"),
     "estimate-wav-fs-zero": (
         ["estimate", "--input", "{wav}", "--fs", "0", "--block-samples", "441"],
         "invalid-config", "--fs must be positive, got 0"),
@@ -840,16 +854,16 @@ ERROR_TABLE = {
         "bad-input", "raw: 22094 bytes in {wav} is not a whole number of float64 samples"),
     "estimate-block-ms-inf": (
         ["estimate", "--input", "{raw}", "--fs", "44100", "--block-ms", "inf"],
-        "invalid-config", "--block-ms gives no finite block length: inf"),
+        "invalid-config", "--block-ms must be finite, got inf"),
     "estimate-block-s-inf": (
         ["estimate", "--input", "{raw}", "--fs", "44100", "--block-s", "inf"],
-        "invalid-config", "--block-s gives no finite block length: inf"),
+        "invalid-config", "--block-s must be finite, got inf"),
     "estimate-block-ms-overflow": (
         ["estimate", "--input", "{raw}", "--fs", "44100", "--block-ms", "1e306"],
         "invalid-config", "--block-ms gives no finite block length: 1e+306"),
     "bandwidth-block-ms-inf": (
         ["bandwidth", "--input", "{raw}", "--fs", "44100", "--block-ms", "inf"],
-        "invalid-config", "--block-ms gives no finite block length: inf"),
+        "invalid-config", "--block-ms must be finite, got inf"),
     "mc-b-ms-inf": (
         ["mc", "--design", "ar", "--snr", "6", "--b-ms", "10,inf", "--quick"],
         "invalid-config", "--b-ms gives no finite block length: inf"),
@@ -862,7 +876,7 @@ ERROR_TABLE = {
     "simulate-snr-nan": (
         ["simulate", "--design", "ar", "--snr", "nan", "--duration", "0.1",
          "--out", "{tmp}/x.raw"],
-        "invalid-config", "SNR nan dB gives no positive finite amplitude, got nan"),
+        "invalid-config", "--snr must be finite, got nan"),
     "select-block-grid-infeasible": (
         ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min", "500",
          "--grid-max", "900", "--k", "16"],
@@ -925,7 +939,42 @@ ERROR_TABLE = {
     "select-block-grid-steps-negative": (
         ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-steps", "-1"],
         "invalid-config", "--grid-steps must be non-negative, got -1"),
+    # a finite grid end can still overflow in samples (1e305 s at 44.1 kHz)
+    "select-block-grid-overflow": (
+        ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min", "1e305",
+         "--grid-max", "2e305", "--grid-unit", "s"],
+        "invalid-config", "--grid-min/--grid-max gives no finite block length: 1e+305"),
+    # settings are checked before the input is read
+    "estimate-levels-before-input": (
+        ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441",
+         "--levels", "2"],
+        "invalid-config", "--levels: levels must lie in (0, 1)"),
+    "select-block-grid-steps-before-input": (
+        ["select-block", "--input", "{tmp}/missing.raw", "--fs", "44100", "--grid-steps", "-1"],
+        "invalid-config", "--grid-steps must be non-negative, got -1"),
 }
+
+
+def float_flag_cases():
+    """(argv, flag, value) for every float flag of every command, each value
+    non-finite: argv holds the command's required flags, with every output
+    in {tmp}; simulate is taken with each design."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    designs = next(a for a in commands["simulate"]._actions if a.dest == "design").choices
+    bases = {f"simulate-{d}": ["simulate", "--design", d, "--duration", "0.01",
+                               "--out", "{tmp}/x.raw"] for d in designs}
+    for command in ("estimate", "select-block", "bandwidth"):
+        bases[command] = [command, "--input", "{tmp}/missing.raw", "--out", "{tmp}/r.out"]
+    bases["mc"] = ["mc", "--design", "ar", "--snr", "6", "--out", "{tmp}/r.json",
+                   "--csv", "{tmp}/r.csv"]
+    for name, argv in bases.items():
+        for action in commands[argv[0]]._actions:
+            if action.type is float:
+                for value in ("nan", "inf", "-inf"):
+                    flag = action.option_strings[0]
+                    yield pytest.param(argv, flag, value, id=f"{name}{flag}={value}")
 
 
 @pytest.fixture(scope="module")
@@ -961,6 +1010,21 @@ class TestErrorTable:
             "schema_version": 1,
             "error": {"code": code, "message": message.format(**paths)},
         }
+
+    @pytest.mark.parametrize("argv,flag,value", list(float_flag_cases()))
+    def test_every_float_flag_must_be_finite(self, tmp_path, capsys, monkeypatch, argv, flag,
+                                             value):
+        # main checks each float flag before any work: no input is read, no
+        # Monte Carlo pass starts, and no output or manifest is written
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("Monte Carlo pass started")
+        monkeypatch.setattr("snrsub.cli.mc_reports", no_monte_carlo)
+        exit_code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv),
+                                         f"{flag}={value}")
+        assert (exit_code, stdout) == (1, "")
+        assert json.loads(err)["error"] == {"code": "invalid-config",
+                                            "message": f"{flag} must be finite, got {value}"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_codes_match_the_readme_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -83,6 +83,12 @@ class TestDump:
     def test_json_carries_the_schema_version(self):
         assert dump_json({"b": [1.5, None], "a": 1}) == '{"a":1,"b":[1.5,null],"schema_version":1}\n'
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite_floats(self, value):
+        # NaN and Infinity are not JSON (RFC 8259), so no report may hold one
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"x": value})
+
 
 class TestOracleQuantiles:
     def test_median_self_consistency(self):

@@ -213,3 +213,11 @@ def test_one_noise_gate():
     # are the one gate in front of each synthesis
     for synthesis in ("_white_slabs", "_ar1_slabs", "_powerlaw_slabs"):
         assert callers(synthesis) == {"simgen.NoiseSpec"}, synthesis
+
+
+def test_one_finiteness_gate_in_the_command_line():
+    # main checks every float flag once, before any work; _block_samples
+    # checks the block lengths a finite flag can still overflow to, and
+    # _read_csv each cell of a CSV input
+    assert {c for c in callers("isfinite") if c.startswith("cli.")} == {
+        "cli.main", "cli._block_samples", "cli._read_csv"}

@@ -370,8 +370,7 @@ class TestBatchedCv:
 
     @pytest.mark.parametrize("value", [0.0, 2.0, -0.5, 3.1])
     @pytest.mark.parametrize("n", [64, 441, 2205])
-    def test_constant_block_takes_the_direct_rule(self, monkeypatch, direct_calls, n, value):
-        monkeypatch.setattr(smoother, "_fft_cv", None)  # never reached
+    def test_constant_block_takes_the_direct_rule(self, direct_calls, n, value):
         y = np.full(n, value)
         fit = select_bandwidth(y)
         assert len(direct_calls) == len(fit.cv_curve)
