@@ -177,7 +177,7 @@ def write_wav16(path: str, samples: np.ndarray, fs_hz: float) -> float:
     peak = float(np.max([np.max(np.abs(samples[lo:lo + WAV_CHUNK_SAMPLES])) for lo in chunks],
                         initial=0.0))
     gain = 1.0 if peak <= limit else limit / peak
-    with wave.open(path, "wb") as wf:
+    with open(path, "wb") as f, wave.open(f, "wb") as wf:  # wave.open(path) warns on a bad path
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(int(round(fs_hz)))
@@ -323,25 +323,15 @@ def cmd_simulate(args) -> int:
         derived = {"amplitude": 0.0, "signal_power": 0.0,
                    "noise": noise.describe(), "true_snr_db": None}
 
-    try:
-        if args.format == "wav16":
-            gain = write_wav16(args.out, series.samples, fs)
-            derived["wav_gain"] = gain
-        else:
-            write_raw_f64le(args.out, series.samples)
-    except OSError as e:
-        raise CliError("io-error", f"cannot write {args.out}: {e}") from e
-
+    if args.format == "wav16":
+        derived["wav_gain"] = write_wav16(args.out, series.samples, fs)
+    else:
+        write_raw_f64le(args.out, series.samples)
     derived["n"] = series.n
     manifest["derived"] = derived
     text = dump_json(manifest)
-    manifest_path = args.manifest or (args.out + ".manifest.json")
-    try:
-        with open(manifest_path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        raise CliError("io-error", f"cannot write {manifest_path}: {e}") from e
-    sys.stdout.write(text)
+    _emit(text, args.manifest or (args.out + ".manifest.json"))
+    _emit(text, None)
     return 0
 
 
@@ -403,9 +393,14 @@ def cmd_select_block(args) -> int:
     threads = _threads(args)
     if args.grid_steps < 0:
         raise CliError("invalid-config", f"--grid-steps must be non-negative, got {args.grid_steps}")
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
+        except FloatingPointError:
+            raise CliError("invalid-config", f"--grid-min/--grid-max span leaves the float range: "
+                           f"{args.grid_min:g} to {args.grid_max:g}") from None
     series, desc = _load_series(args)
     fs = series.sample_rate_hz
-    raw = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     # k is checked before the screen; select_block_size sets b per candidate
     cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
     cand = sorted({_block_samples("--grid-min/--grid-max", float(v), args.grid_unit, fs)

@@ -239,8 +239,9 @@ def _replica(spec: ExperimentSpec, r: int) -> tuple[np.ndarray, np.ndarray]:
             "block": _true_block_power(amp, dist.starts[dist.kept], b, spec.fs_hz),
             "global": amp ** 2 / 2.0,
         }
-        errs = [power - truth[name] for name in MSE_TARGETS]
-        rows[j] = [float(e @ e) / e.size for e in errs] + [dist.quantile(g) for g in spec.levels]
+        with np.errstate(over="ignore"):  # an error too large to square gives an inf MSE
+            errs = [power - truth[name] for name in MSE_TARGETS]
+            rows[j] = [e @ e / e.size for e in errs] + [dist.quantile(g) for g in spec.levels]
     return rows, failed
 
 
@@ -252,8 +253,8 @@ def _oracle(spec: ExperimentSpec, b: int, oracle_replicas: int) -> dict[float, f
 
 
 def _run_replicas(spec: ExperimentSpec, workers: int, oracle_replicas: int = 0
-                  ) -> tuple[tuple[np.ndarray, np.ndarray], dict[int, dict]]:
-    """((values, failed), ``_oracle`` per block length when ``oracle_replicas``
+                  ) -> tuple[np.ndarray, np.ndarray, dict[int, dict]]:
+    """(values, failed, ``_oracle`` per block length when ``oracle_replicas``
     >= 1): ``values[r, j]`` and ``failed[r, j]`` are ``_replica``'s row and
     failure mark for replica r at the j-th block length.
 
@@ -266,17 +267,24 @@ def _run_replicas(spec: ExperimentSpec, workers: int, oracle_replicas: int = 0
     jobs += [(_replica, (spec, r)) for r in range(spec.replicas)]
     out = list(parallel_imap(call, jobs, workers))
     values, failed = (np.stack(col) for col in zip(*out[len(oracle_b):]))
-    return (values, failed), dict(zip(oracle_b, out))
+    return values, failed, dict(zip(oracle_b, out))
 
 
-def _cell(spec: ExperimentSpec, b: int, metric: str, level: float | None,
-          column: np.ndarray, failed: np.ndarray) -> McCell:
-    """Mean and se over the replicas not ``failed``, summed in replica order."""
-    vals = column[~failed]
-    mean = float(vals.sum() / vals.size) if vals.size else None
-    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else None
-    return McCell(spec.design, spec.true_snr_db, b, metric, level, mean, se,
-                  spec.replicas, int(failed.sum()), tuple(vals.tolist()))
+def _report(spec: ExperimentSpec, metric: str, scores: np.ndarray, failed: np.ndarray,
+            levels=(None,)) -> McReport:
+    """One cell per block length and level: the mean and se of ``scores[:, j, i]``
+    over the replicas not ``failed[:, j]``, summed in replica order; an infinite
+    score gives an infinite mean and a NaN se, which ``dump_json`` refuses."""
+    cells = []
+    for j, b in enumerate(spec.block_lengths):
+        for i, level in enumerate(levels):
+            vals = scores[~failed[:, j], j, i]
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(vals.sum() / vals.size) if vals.size else None
+                se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else None
+            cells.append(McCell(spec.design, spec.true_snr_db, b, metric, level, mean, se,
+                                spec.replicas, int(failed[:, j].sum()), tuple(vals.tolist())))
+    return McReport(spec, tuple(cells))
 
 
 def mse_signal_power(spec: ExperimentSpec, workers: int = 1,
@@ -306,16 +314,10 @@ def mse_signal_power(spec: ExperimentSpec, workers: int = 1,
     """
     if target not in MSE_TARGETS:
         raise ValueError(f"target must be one of {MSE_TARGETS}, got {target!r}")
-    return _mse_report(spec, _run_replicas(spec, workers)[0], target)
-
-
-def _mse_report(spec: ExperimentSpec, table: tuple, target: str) -> McReport:
-    values, failed = table
-    metric = "mse_signal_power" if target == "block" else f"mse_signal_power_{target}"
+    values, failed, _ = _run_replicas(spec, workers)
     col = MSE_TARGETS.index(target)
-    return McReport(spec, tuple(
-        _cell(spec, b, metric, None, values[:, j, col], failed[:, j])
-        for j, b in enumerate(spec.block_lengths)))
+    return _report(spec, "mse_signal_power" if target == "block" else f"mse_signal_power_{target}",
+                   values[:, :, col:col + 1], failed)
 
 
 def oracle_draws(design: str, true_snr_db: float, b: int, b1: int | None,
@@ -386,15 +388,6 @@ def quantile_mae(spec: ExperimentSpec, oracle_replicas: int = ORACLE_REPLICAS,
     return mc_reports(spec, ("qmae",), oracle_replicas, workers)["qmae"]
 
 
-def _qmae_report(spec: ExperimentSpec, table: tuple,
-                 oracles: dict[int, dict[float, float]]) -> McReport:
-    values, failed = table
-    return McReport(spec, tuple(
-        _cell(spec, b, "quantile_mae", g,
-              np.abs(values[:, j, len(MSE_TARGETS) + i] - oracles[b][g]), failed[:, j])
-        for j, b in enumerate(spec.block_lengths) for i, g in enumerate(spec.levels)))
-
-
 def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = ORACLE_REPLICAS,
                workers: int = 1) -> dict[str, McReport]:
     """The 'mse' and/or 'qmae' reports from a single pass over the replicas.
@@ -407,9 +400,13 @@ def mc_reports(spec: ExperimentSpec, metrics, oracle_replicas: int = ORACLE_REPL
         raise ValueError(f"metrics must be 'mse' and/or 'qmae', got {metrics!r}")
     if "qmae" in metrics:
         _check_oracle_replicas(oracle_replicas)
-    table, oracles = _run_replicas(spec, workers, oracle_replicas if "qmae" in metrics else 0)
-    build = {"mse": lambda: _mse_report(spec, table, "block"),
-             "qmae": lambda: _qmae_report(spec, table, oracles)}
+    values, failed, oracles = _run_replicas(spec, workers,
+                                            oracle_replicas if "qmae" in metrics else 0)
+    oracle = [[oracles[b][g] for g in spec.levels] for b in oracles]  # [block length][level]
+    build = {"mse": lambda: _report(spec, "mse_signal_power", values[:, :, :1], failed),
+             "qmae": lambda: _report(spec, "quantile_mae",
+                                     np.abs(values[:, :, len(MSE_TARGETS):] - oracle),
+                                     failed, spec.levels)}
     return {m: build[m]() for m in metrics}
 
 

@@ -635,6 +635,22 @@ class TestMc:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    def test_overflowing_mse_fails_with_one_json_error(self, capsys):
+        # squared errors past the float range give an infinite mean, which
+        # strict JSON refuses; no NumPy warning reaches stderr on the way
+        code, stdout, err = run_cli(capsys, "mc", "--design", "ar", "--snr", "3000",
+                                    "--metric", "mse", "--quick")
+        assert (code, stdout) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-config"
+        assert error["message"].startswith("Out of range float values are not JSON compliant")
+
+    def test_qmae_beside_an_overflowing_mse_is_quiet(self, capsys):
+        code, stdout, err = run_cli(capsys, "mc", "--design", "ar", "--snr", "3000",
+                                    "--metric", "qmae", "--quick")
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(c["mean"]) for c in json.loads(stdout)["reports"]["qmae"]["cells"])
+
     def test_zero_oracle_draws_ignored_for_mse(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "mc", "--design", "ar", "--snr", "6", "--metric", "mse",
@@ -776,8 +792,11 @@ ERROR_TABLE = {
         "invalid-config", "--duration must be finite, got inf"),
     "simulate-unwritable-out": (
         ["simulate", "--design", "ar", "--duration", "0.1", "--out", "{tmp}/nodir/x.raw"],
-        "io-error",
-        "cannot write {tmp}/nodir/x.raw: [Errno 2] No such file or directory: '{tmp}/nodir/x.raw'"),
+        "io-error", "[Errno 2] No such file or directory: '{tmp}/nodir/x.raw'"),
+    "simulate-unwritable-manifest": (
+        ["simulate", "--design", "ar", "--duration", "0.1", "--out", "{tmp}/x.raw",
+         "--manifest", "{tmp}/nodir/m.json"],
+        "io-error", "[Errno 2] No such file or directory: '{tmp}/nodir/m.json'"),
     "estimate-unwritable-snr-csv": (
         ["estimate", "--input", "{raw}", "--fs", "44100", "--block-samples", "441", "--k", "16",
          "--out", "{tmp}/r.json", "--snr-csv", "{tmp}/nodir/s.csv"],
@@ -944,6 +963,11 @@ ERROR_TABLE = {
         ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min", "1e305",
          "--grid-max", "2e305", "--grid-unit", "s"],
         "invalid-config", "--grid-min/--grid-max gives no finite block length: 1e+305"),
+    # finite grid ends whose span leaves the float range
+    "select-block-grid-span-overflow": (
+        ["select-block", "--input", "{raw}", "--fs", "44100", "--grid-min=-1e308",
+         "--grid-max=1e308", "--grid-unit", "samples"],
+        "invalid-config", "--grid-min/--grid-max span leaves the float range: -1e+308 to 1e+308"),
     # settings are checked before the input is read
     "estimate-levels-before-input": (
         ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441",
@@ -1076,3 +1100,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["derived"]["n"] == 10
+
+    def test_unwritable_wav_prints_one_json_error(self, tmp_path):
+        out = str(tmp_path / "nodir" / "x.wav")
+        proc = subprocess.run(
+            [sys.executable, "-m", "snrsub.cli", "simulate", "--design", "ar", "--duration", "0.1",
+             "--format", "wav16", "--out", out],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr)["error"] == {
+            "code": "io-error", "message": f"[Errno 2] No such file or directory: '{out}'"}

@@ -309,6 +309,12 @@ class TestMseReport:
         assert tiny.failures == 0
         assert tiny.values == tuple(math.ldexp(v, -200) for v in unit.values)
 
+    def test_overflowing_errors_give_an_infinite_mean_quietly(self):
+        rep = mse_signal_power(tiny_spec(true_snr_db=3000, replicas=2))
+        assert rep.cells[0].mean == math.inf
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            rep.to_json()
+
     def test_serialization(self):
         rep = mse_signal_power(tiny_spec(replicas=2))
         payload = json.loads(rep.to_json())

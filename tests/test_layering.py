@@ -215,6 +215,13 @@ def test_one_noise_gate():
         assert callers(synthesis) == {"simgen.NoiseSpec"}, synthesis
 
 
+def test_one_report_builder():
+    # every Monte Carlo cell, and every report of them, comes from one rule;
+    # cmd_mc only regroups the cells of the reports it was given
+    assert callers("McReport") == {"harness._report", "cli.cmd_mc"}
+    assert callers("McCell") == {"harness._report"}
+
+
 def test_one_finiteness_gate_in_the_command_line():
     # main checks every float flag once, before any work; _block_samples
     # checks the block lengths a finite flag can still overflow to, and
