@@ -266,16 +266,19 @@ def _block_fits(n: int, b: int, k: int) -> bool:
     return True
 
 
-def _load_series(args) -> tuple[TimeSeries, InputDescriptor]:
+def _load_series(args) -> tuple[TimeSeries, dict]:
+    # the series, and what was read: the fields that begin each file report's config
     fmt = args.format
     if fmt is None:
         ext = os.path.splitext(args.input)[1].lower()
         fmt = {"wav": "wav16", "csv": "csv"}.get(ext.lstrip("."), "raw")
     desc = InputDescriptor(args.input, "raw_f64le" if fmt == "raw" else fmt, args.fs, args.channel)
     try:
-        return read_input(desc), desc
+        series = read_input(desc)
     except ValueError as e:
         raise CliError("bad-input", str(e)) from e
+    return series, {"input": desc.path, "format": desc.format, "channel": desc.channel,
+                    "fs_hz": series.sample_rate_hz, "n": series.n}
 
 
 # ---------------------------------------------------------------- commands
@@ -340,7 +343,7 @@ def cmd_estimate(args) -> int:
     ci_levels = _parse_levels(args.ci, "--ci")
     threads = _threads(args)
     t0 = time.perf_counter()
-    series, desc = _load_series(args)
+    series, source = _load_series(args)
     read_s = time.perf_counter() - t0
     b = _resolve_block_samples(args, series.sample_rate_hz)
     cfg = SubsampleConfig(b=b, k_blocks=args.k, seed=args.seed, b1=args.b1,
@@ -355,11 +358,7 @@ def cmd_estimate(args) -> int:
     report = {
         "command": "estimate",
         "config": {
-            "input": desc.path,
-            "format": desc.format,
-            "channel": desc.channel,
-            "fs_hz": series.sample_rate_hz,
-            "n": series.n,
+            **source,
             "b": cfg.b,
             "b1": cfg.b1,
             "k": cfg.k_blocks,
@@ -399,7 +398,7 @@ def cmd_select_block(args) -> int:
         except FloatingPointError:
             raise CliError("invalid-config", f"--grid-min/--grid-max span leaves the float range: "
                            f"{args.grid_min:g} to {args.grid_max:g}") from None
-    series, desc = _load_series(args)
+    series, source = _load_series(args)
     fs = series.sample_rate_hz
     # k is checked before the screen; select_block_size sets b per candidate
     cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
@@ -424,10 +423,7 @@ def cmd_select_block(args) -> int:
     report = {
         "command": "select-block",
         "config": {
-            "input": desc.path,
-            "format": desc.format,
-            "fs_hz": fs,
-            "n": series.n,
+            **source,
             "grid_min": args.grid_min,
             "grid_max": args.grid_max,
             "grid_unit": args.grid_unit,
@@ -450,12 +446,11 @@ def cmd_select_block(args) -> int:
 
 def cmd_mc(args) -> int:
     threads = _threads(args)
-    replicas = args.replicas
-    duration = args.duration
-    k = args.k
-    oracle_replicas = args.oracle_replicas
-    if args.quick:
-        replicas, duration, k, oracle_replicas = 3, 0.5, 48, 500
+    # each setting is the value given, else the --quick preset, else the default
+    given = (args.replicas, args.duration, args.k, args.oracle_replicas)
+    defaults = (3, 0.5, 48, 500) if args.quick else (
+        ExperimentSpec.replicas, ExperimentSpec.duration_s, ExperimentSpec.k_blocks, ORACLE_REPLICAS)
+    replicas, duration, k, oracle_replicas = (d if g is None else g for g, d in zip(given, defaults))
     levels = _parse_levels(args.levels, "--levels")
     blocks = tuple(_block_samples("--b-ms", ms, "ms", args.fs)
                    for ms in _parse_floats(args.b_ms, "--b-ms"))
@@ -584,14 +579,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--metric", choices=["mse", "qmae", "both"], default="both")
     p.add_argument("--fs", type=float, default=ExperimentSpec.fs_hz)
-    p.add_argument("--duration", type=float, default=ExperimentSpec.duration_s)
+    p.add_argument("--duration", type=float)
     p.add_argument("--b-ms", default="10,15", help="block lengths in ms, comma-separated")
     _add_run_flags(p)
-    p.add_argument("--replicas", type=int, default=ExperimentSpec.replicas)
-    p.add_argument("--oracle-replicas", type=int, default=ORACLE_REPLICAS)
+    p.set_defaults(k=None)  # resolved in cmd_mc, with --quick
+    p.add_argument("--replicas", type=int)
+    p.add_argument("--oracle-replicas", type=int)
     p.add_argument("--levels", default=DEFAULT_LEVELS)
     p.add_argument("--quick", action="store_true",
-                   help="tiny smoke configuration (3 replicas, 0.5 s)")
+                   help="sets the defaults of --replicas (3), --duration (0.5 s), --k (48) "
+                        "and --oracle-replicas (500); a value given explicitly is used as given")
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="write cells as CSV")
     p.set_defaults(func=cmd_mc)

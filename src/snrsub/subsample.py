@@ -177,9 +177,6 @@ class SnrDistribution:
     def quantile(self, gamma2: float) -> float:
         return empirical_quantile(self.snr_values, gamma2)
 
-    def quantiles(self, levels) -> dict[float, float]:
-        return {float(g): self.quantile(g) for g in levels}
-
 
 def admissible_starts(n: int, b: int, k: int = 1) -> int:
     """The n - b + 1 starts of a length-b block in n samples, checked to hold
@@ -244,8 +241,7 @@ def _block_values(block: np.ndarray, b1: int, grid: BandwidthGrid,
         power, variance = np.ldexp([u, v], 2 * e).tolist()
     if not v > VARIANCE_FLOOR * u:
         return power, variance, math.nan, h
-    snr = 10.0 * math.log10(u / v)
-    return power, variance, (snr if math.isfinite(snr) else math.nan), h
+    return power, variance, 10.0 * math.log10(u / v), h
 
 
 def call(fn, args: tuple):
@@ -415,6 +411,8 @@ def select_block_size(series: TimeSeries, candidates, cfg_template: SubsampleCon
         raise ValueError(f"need at least {MIN_CANDIDATES} candidate block lengths, got {len(cand)}")
     if any(b2 <= b1 for b1, b2 in zip(cand, cand[1:])):
         raise ValueError("candidate block lengths must be strictly increasing")
+    if not 0.0 < levels[0] < levels[1] < 1.0:
+        raise ValueError(f"levels must satisfy 0 < low < high < 1, got {tuple(levels)}")
     admissible_starts(series.n, cand[-1], cfg_template.k_blocks)
 
     q_low, q_high = [], []

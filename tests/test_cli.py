@@ -222,8 +222,8 @@ class TestSimulate:
     def test_same_seed_identical_checksums(self, tmp_path, capsys):
         a, _ = simulate_ar(tmp_path, capsys, name="a.raw")
         b, _ = simulate_ar(tmp_path, capsys, name="b.raw")
-        ha = hashlib.sha256(open(a, "rb").read()).hexdigest()
-        hb = hashlib.sha256(open(b, "rb").read()).hexdigest()
+        ha = hashlib.sha256(Path(a).read_bytes()).hexdigest()
+        hb = hashlib.sha256(Path(b).read_bytes()).hexdigest()
         assert ha == hb
 
     def test_wav_output_readable(self, tmp_path, capsys):
@@ -410,7 +410,7 @@ class TestEstimate:
         )
         assert code == 0
         results = json.loads(stdout)["results"]
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[0] == "snr_db"
         vals = [float(v) for v in lines[1:]]
         assert lines[1:] == [repr(v) for v in vals]
@@ -512,7 +512,7 @@ class TestSelectBlock:
         table = report["results"]["table"]
         assert chosen in [row["b"] for row in table][1:-1]
         assert 2.0 <= report["results"]["chosen_b_ms"] <= 20.0
-        rows = csv_rows(open(tmp_path / "vol.csv").read())
+        rows = csv_rows((tmp_path / "vol.csv").read_text())
         header = ["b", "b_ms", "q_low", "q_high", "volatility"]
         assert rows == [header] + [[cell(row[col]) for col in header] for row in table]
         assert table[0]["volatility"] is None and rows[1][-1] == ""  # the endpoints have none
@@ -548,6 +548,24 @@ class TestSelectBlock:
         assert cli._block_samples("--grid-max", 0.5555555555555556, "ms", 44100.0) == 24
         assert cli._block_samples("--block-ms", 10.0, "ms", 44100.0) == 441
 
+    def test_reports_the_channel_it_read_as_estimate_does(self, tmp_path, capsys):
+        path = tmp_path / "st.wav"
+        pcm = np.random.default_rng(5).integers(-8000, 8000, size=(8820, 2), dtype="<i2")
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(2)
+            wf.setsampwidth(2)
+            wf.setframerate(44100)
+            wf.writeframes(pcm.tobytes())
+        configs = {}
+        for argv in (["estimate", "--block-samples", "441"], ["select-block", "--grid-steps", "6"]):
+            code, stdout, _ = run_cli(capsys, *argv, "--input", str(path), "--channel", "1",
+                                      "--k", "16", "--seed", "2")
+            assert code == 0
+            configs[argv[0]] = json.loads(stdout)["config"]
+        source = ("input", "format", "channel", "fs_hz", "n")
+        assert [configs["select-block"][key] for key in source] == [
+            configs["estimate"][key] for key in source] == [str(path), "wav16", 1, 44100.0, 8820]
+
     def test_infeasible_grid(self, tmp_path, capsys):
         path, _ = simulate_ar(tmp_path, capsys, duration="0.02")
         code, _, err = run_cli(
@@ -571,7 +589,18 @@ class TestMc:
         assert sorted({c["b"] for c in mse_cells}) == [441, 662]
         qmae_cells = payload["reports"]["qmae"]["cells"]
         assert {c["metric"] for c in qmae_cells} == {"quantile_mae"}
-        assert_mc_csv_is_the_cells(open(csv_path).read(), payload["reports"])
+        assert_mc_csv_is_the_cells(Path(csv_path).read_text(), payload["reports"])
+
+    def test_quick_only_fills_the_settings_not_given(self, capsys):
+        code, stdout, _ = run_cli(capsys, "mc", "--design", "ar", "--snr", "6", "--quick",
+                                  "--replicas", "5", "--seed", "2")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert {key: payload["config"][key] for key in
+                ("replicas", "duration_s", "k", "oracle_replicas", "quick")} == {
+            "replicas": 5, "duration_s": 0.5, "k": 48, "oracle_replicas": 500, "quick": True}
+        cells = [c for report in payload["reports"].values() for c in report["cells"]]
+        assert cells and all(c["replicas"] == 5 for c in cells)
 
     @pytest.mark.parametrize("design", ["ar", "p2"])
     def test_both_equals_the_single_metric_reports(self, tmp_path, capsys, design):
@@ -585,7 +614,7 @@ class TestMc:
             )
             assert code == 0
             reports[metric] = json.loads(stdout)["reports"]
-            csv[metric] = open(path).read().splitlines()
+            csv[metric] = Path(path).read_text().splitlines()
         assert reports["both"] == {"mse": reports["mse"]["mse"], "qmae": reports["qmae"]["qmae"]}
         assert csv["both"] == csv["mse"] + csv["qmae"][1:]
 
@@ -824,6 +853,9 @@ ERROR_TABLE = {
         ["mc", "--design", "ar", "--snr", "6", "--duration", "0.05", "--k", "5000", "--b-ms", "10",
          "--metric", "qmae"],
         "k-too-large", "k=5000 exceeds the 1765 admissible block starts"),
+    "mc-quick-k-too-large": (
+        ["mc", "--design", "ar", "--snr", "6", "--quick", "--k", "100000"],
+        "k-too-large", "k=100000 exceeds the 21610 admissible block starts"),
     "mc-nyquist": (
         ["mc", "--design", "ar", "--snr", "6", "--fs", "80", "--b-ms", "300,400",
          "--duration", "60", "--k", "20", "--replicas", "2"],

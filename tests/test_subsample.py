@@ -564,6 +564,18 @@ class TestSelectBlockSize:
         with pytest.raises(ValueError):
             select_block_size(ts, [100, 200, 300, 400, 10**6], cfg)
 
+    @pytest.mark.parametrize("levels", [(0.95, 0.05), (0.0, 0.95)])
+    def test_levels_are_checked_before_any_candidate_runs(self, monkeypatch, levels):
+        import snrsub.subsample as sub
+
+        calls = []
+        monkeypatch.setattr(sub, "estimate_snr_distribution", lambda ts, cfg: calls.append(cfg))
+        ts = gen_design("ar", 10.0, 44100.0, 0.5, seed=1)
+        cfg = SubsampleConfig(b=441, k_blocks=20)
+        with pytest.raises(ValueError, match="^levels must satisfy 0 < low < high < 1"):
+            sub.select_block_size(ts, [441, 662, 882, 1102, 1323], cfg, levels=levels)
+        assert calls == []
+
     def test_infeasible_largest_candidate_reports_the_fit_rule(self):
         ts = ar_series(duration=0.1)  # 4410 samples
         cfg = SubsampleConfig(b=100, k_blocks=8, seed=0)
