@@ -170,8 +170,11 @@ def write_wav16(path: str, samples: np.ndarray, fs_hz: float) -> float:
     """Write mono PCM 16-bit; returns the gain applied to avoid clipping.
 
     The peak and the PCM are computed ``WAV_CHUNK_SAMPLES`` at a time, so the
-    working memory does not grow with the series.
+    working memory does not grow with the series.  The header holds a whole
+    rate from 1 to 2**31 - 1 Hz; any other ``fs_hz`` raises before the file is opened.
     """
+    if not (float(fs_hz).is_integer() and 1 <= fs_hz <= 2**31 - 1):
+        raise ValueError(f"wav16 needs a whole sample rate from 1 to 2147483647 Hz, got {fs_hz}")
     limit = (PCM16_FULL_SCALE - 1.0) / PCM16_FULL_SCALE
     chunks = range(0, samples.size, WAV_CHUNK_SAMPLES)
     peak = float(np.max([np.max(np.abs(samples[lo:lo + WAV_CHUNK_SAMPLES])) for lo in chunks],
@@ -180,7 +183,7 @@ def write_wav16(path: str, samples: np.ndarray, fs_hz: float) -> float:
     with open(path, "wb") as f, wave.open(f, "wb") as wf:  # wave.open(path) warns on a bad path
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(int(round(fs_hz)))
+        wf.setframerate(int(fs_hz))
         for lo in chunks:  # close() writes the header's final sizes
             pcm = samples[lo:lo + WAV_CHUNK_SAMPLES] * gain
             pcm *= PCM16_FULL_SCALE
@@ -398,10 +401,10 @@ def cmd_select_block(args) -> int:
         except FloatingPointError:
             raise CliError("invalid-config", f"--grid-min/--grid-max span leaves the float range: "
                            f"{args.grid_min:g} to {args.grid_max:g}") from None
+    # k is checked before the input is read; select_block_size sets b per candidate
+    cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
     series, source = _load_series(args)
     fs = series.sample_rate_hz
-    # k is checked before the screen; select_block_size sets b per candidate
-    cfg = SubsampleConfig(b=MIN_BLOCK_SAMPLES, k_blocks=args.k, seed=args.seed, workers=threads)
     cand = sorted({_block_samples("--grid-min/--grid-max", float(v), args.grid_unit, fs)
                    for v in raw})
     cand = [b for b in cand if b >= MIN_BLOCK_SAMPLES and _block_fits(series.n, b, args.k)]
@@ -618,6 +621,8 @@ def main(argv=None) -> int:
                                f"--{dest.replace('_', '-')} must be finite, got {v:g}")
         if args.fs is not None and not args.fs > 0:  # every command takes --fs
             raise CliError("invalid-config", f"--fs must be positive, got {args.fs:g}")
+        if getattr(args, "seed", 0) < 0:  # every command but bandwidth takes --seed
+            raise CliError("invalid-config", f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (CliError, *_ERROR_CODES) as e:
         code = e.code if isinstance(e, CliError) else next(

@@ -333,9 +333,11 @@ def select_bandwidth(
     could be the minimum (within the tie band of it, or at the guard) and
     those whose residual energy is too small for the FFT's rounding (every
     candidate of a constant block) are evaluated again with the direct fit,
-    and the first minimum among them wins; a zero block has no finite FFT
-    value and takes the direct rule.  The selected h, its fit and its
-    residuals are therefore those of the direct per-candidate rule.
+    and the first minimum among them wins.  Every candidate is evaluated
+    directly instead when no FFT value is finite (a zero block) or when the
+    FFT minimum's own direct value lies outside the tie band (the FFT
+    misranked the block).  The selected h, its fit and its residuals are
+    therefore those of the direct per-candidate rule.
 
     It runs on ``pow2_scaled(y)``; the fit, the residuals and the CV values
     are scaled back exactly, so nothing depends on the scale of y (a CV value
@@ -350,7 +352,21 @@ def select_bandwidth(
         grid = BandwidthGrid()
     plan = _cv_plan(n, grid, regime)
     curve = [math.inf] * len(plan.hs)
-    best = _fft_guided_minimum(y, plan, curve)
+    cv, mse, factor = _fft_cv(y, plan)
+    for i, c in zip(plan.index.tolist(), cv.tolist()):
+        curve[i] = c
+    best = None
+    finite = np.isfinite(cv)
+    if finite.any():
+        lowest = int(np.argmin(np.where(finite, cv, math.inf)))
+        cv_min = float(cv[lowest])
+        mean_sq = float(y @ y) / n
+        tol = CV_TIE_BAND * (cv_min + mean_sq)
+        direct = ((finite & (cv <= cv_min + tol)) | (mse <= CV_RESIDUAL_FLOOR * mean_sq)
+                  | (np.abs(factor - CORRECTION_FLOOR) <= CV_GUARD_BAND))
+        best = _first_minimum(y, plan.hs, plan.index[direct].tolist(), curve)
+        if abs(curve[plan.index[lowest]] - cv_min) > tol:  # the FFT misranked this block
+            best = None
     if best is None:
         best = _first_minimum(y, plan.hs, range(len(plan.hs)), curve)
     if best is None:
@@ -361,32 +377,6 @@ def select_bandwidth(
         curve = np.ldexp(curve, 2 * e).tolist()
     return KernelFit(fitted=fitted, residuals=residuals, h_hat=h_hat,
                      cv_curve=tuple(zip(plan.hs, curve)), m_lags=M)
-
-
-def _fft_guided_minimum(y: np.ndarray, plan: _CvPlan, curve: list):
-    """``_first_minimum`` over the candidates the FFT values cannot rule out.
-
-    Writes every FFT CV value into ``curve``, then the direct value of each
-    candidate evaluated again.  Returns None when the FFT values cannot rank
-    this block: none is finite, or the FFT minimum's direct value lies
-    outside the tie band.
-    """
-    cv, mse, factor = _fft_cv(y, plan)
-    for i, c in zip(plan.index.tolist(), cv.tolist()):
-        curve[i] = c
-    finite = np.isfinite(cv)
-    if not finite.any():
-        return None
-    lowest = int(np.argmin(np.where(finite, cv, math.inf)))
-    cv_min = float(cv[lowest])
-    mean_sq = float(y @ y) / y.size
-    tol = CV_TIE_BAND * (cv_min + mean_sq)
-    direct = ((finite & (cv <= cv_min + tol)) | (mse <= CV_RESIDUAL_FLOOR * mean_sq)
-              | (np.abs(factor - CORRECTION_FLOOR) <= CV_GUARD_BAND))
-    best = _first_minimum(y, plan.hs, plan.index[direct].tolist(), curve)
-    if abs(curve[plan.index[lowest]] - cv_min) > tol:
-        return None
-    return best
 
 
 def _first_minimum(y: np.ndarray, hs, candidates, curve: list):

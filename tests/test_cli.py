@@ -1008,6 +1008,38 @@ ERROR_TABLE = {
     "select-block-grid-steps-before-input": (
         ["select-block", "--input", "{tmp}/missing.raw", "--fs", "44100", "--grid-steps", "-1"],
         "invalid-config", "--grid-steps must be non-negative, got -1"),
+    "estimate-seed-before-input": (
+        ["estimate", "--input", "{tmp}/missing.raw", "--fs", "44100", "--block-samples", "441",
+         "--seed", "-1"],
+        "invalid-config", "--seed must be non-negative, got -1"),
+    "select-block-seed-before-input": (
+        ["select-block", "--input", "{tmp}/missing.raw", "--fs", "44100", "--seed", "-1"],
+        "invalid-config", "--seed must be non-negative, got -1"),
+    "select-block-k-before-input": (
+        ["select-block", "--input", "{tmp}/missing.raw", "--fs", "44100", "--k", "0"],
+        "invalid-config", "k_blocks must be >= 1, got 0"),
+    "mc-seed-negative": (
+        ["mc", "--design", "ar", "--snr", "6", "--quick", "--seed", "-1"],
+        "invalid-config", "--seed must be non-negative, got -1"),
+    "simulate-seed-negative": (
+        ["simulate", "--design", "ar", "--duration", "0.1", "--seed", "-1",
+         "--out", "{tmp}/x.raw"],
+        "invalid-config", "--seed must be non-negative, got -1"),
+    # a wav16 header holds a whole rate from 1 to 2**31 - 1 Hz
+    "simulate-wav16-fractional-rate": (
+        ["simulate", "--design", "ar", "--duration", "2", "--fs", "22050.5", "--format", "wav16",
+         "--out", "{tmp}/w.wav"],
+        "invalid-config",
+        "wav16 needs a whole sample rate from 1 to 2147483647 Hz, got 22050.5"),
+    "simulate-wav16-rate-below-one": (
+        ["simulate", "--design", "noise-only", "--duration", "4", "--fs", "0.5",
+         "--format", "wav16", "--out", "{tmp}/w.wav"],
+        "invalid-config", "wav16 needs a whole sample rate from 1 to 2147483647 Hz, got 0.5"),
+    "simulate-wav16-rate-past-the-header": (
+        ["simulate", "--design", "noise-only", "--duration", "1e-8", "--fs", "3e9",
+         "--format", "wav16", "--out", "{tmp}/w.wav"],
+        "invalid-config",
+        "wav16 needs a whole sample rate from 1 to 2147483647 Hz, got 3000000000.0"),
 }
 
 
@@ -1080,6 +1112,13 @@ class TestErrorTable:
         assert (exit_code, stdout) == (1, "")
         assert json.loads(err)["error"] == {"code": "invalid-config",
                                             "message": f"{flag} must be finite, got {value}"}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", [c for c in ERROR_TABLE if c.startswith("simulate-wav16")])
+    def test_rejected_wav_rate_writes_no_file(self, tmp_path, capsys, case):
+        argv, code, _ = ERROR_TABLE[case]
+        exit_code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (exit_code, json.loads(err)["error"]["code"]) == (1, code)
         assert list(tmp_path.iterdir()) == []
 
     def test_codes_match_the_readme_table(self):

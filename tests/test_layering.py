@@ -208,6 +208,13 @@ def test_one_kernel_stencil_rule():
     assert callers("epanechnikov") == {"smoother._kernel_stencil", "smoother._K0"}
 
 
+def test_one_selection_path():
+    # one function states the whole bandwidth rule: it ranks by the FFT CV
+    # values and confirms by direct refits, with no helper between them
+    assert callers("_fft_cv") == {"smoother.select_bandwidth"}
+    assert callers("_first_minimum") == {"smoother.select_bandwidth"}
+
+
 def test_one_noise_gate():
     # every noise draw is a slab of NoiseSpec.slabs, so NoiseSpec's checks
     # are the one gate in front of each synthesis
